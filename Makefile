@@ -51,7 +51,7 @@ bench:
 # scale) so `make check` catches benchmarks that rot when APIs move,
 # without paying for a measurement-grade run.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x -short . ./internal/learn/cf/ ./internal/core/ ./internal/trace/ ./internal/learn/tree/ ./internal/learn/forest/
+	$(GO) test -run=NONE -bench=. -benchtime=1x -short . ./internal/learn/cf/ ./internal/core/ ./internal/trace/ ./internal/learn/tree/ ./internal/learn/forest/ ./cmd/auricd/
 
 # bench-json runs the hot-path benchmark suites and writes the
 # machine-readable results to BENCH_cf.json (dataset + CF),
@@ -104,11 +104,14 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# fuzz-smoke runs the snapshot-reader fuzz target over its committed
-# corpus plus a short randomized burst — long enough to catch a decoder
-# panic reintroduced on the Read path, short enough for every `make
-# check`. Longer sessions: go test -fuzz=FuzzSnapshotRead ./internal/snapshot/
-# -fuzzminimizetime=5x keeps input minimization from monopolizing the
-# short budget on single-core machines.
+# fuzz-smoke runs each fuzz target over its committed corpus plus a short
+# randomized burst — long enough to catch a decoder panic reintroduced on
+# the snapshot Read path, or a recommend response whose hand-written JSON
+# drifts from encoding/json, short enough for every `make check`. Longer
+# runs: go test -fuzz=FuzzSnapshotRead ./internal/snapshot/ (or
+# -fuzz=FuzzRecommendResponse ./cmd/auricd/). -fuzzminimizetime=5x keeps
+# input minimization from monopolizing the short budget on single-core
+# machines.
 fuzz-smoke:
 	$(GO) test -run=FuzzSnapshotRead -fuzz=FuzzSnapshotRead -fuzztime=10s -fuzzminimizetime=5x ./internal/snapshot/
+	$(GO) test -run=FuzzRecommendResponse -fuzz=FuzzRecommendResponse -fuzztime=10s -fuzzminimizetime=5x ./cmd/auricd/

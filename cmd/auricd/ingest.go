@@ -356,8 +356,10 @@ func (s *server) handleCompact(rw http.ResponseWriter, _ *http.Request) {
 // delta) into the compacted snapshot, then resets the journal. The
 // snapshot records the last folded sequence number as its fence: a crash
 // between the snapshot write and the journal reset is safe, because
-// startup skips journal entries at or below the fence. Caller holds
-// reloadMu.
+// startup skips journal entries at or below the fence. SaveFull returns
+// only once the renamed snapshot is durable (file and directory fsynced),
+// so the reset can never outlive the snapshot it relies on across a power
+// loss. Caller holds reloadMu.
 func (s *server) compactLocked(trigger string) error {
 	start := time.Now()
 	net, cfg, dead, _, err := s.engine.SnapshotState()

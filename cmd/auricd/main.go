@@ -565,21 +565,6 @@ type recommendRequest struct {
 	Pairwise bool `json:"pairwise"`
 }
 
-type recommendation struct {
-	Param string `json:"param"`
-	// Neighbor is -1 for singular parameters; 0 is a valid carrier id,
-	// so the field is never omitted.
-	Neighbor    int     `json:"neighbor"`
-	Value       float64 `json:"value"`
-	Confidence  float64 `json:"confidence"`
-	Supported   bool    `json:"supported"`
-	Explanation string  `json:"explanation"`
-	// Evidence diagnostics (see internal/learn.Diag): the relaxation
-	// level the vote settled at and the size of the voting pool.
-	RelaxationLevel int `json:"relaxationLevel"`
-	Candidates      int `json:"candidates"`
-}
-
 // handleRecommend serves both request forms of POST /v1/recommend: a
 // single request object (the original API, response shape unchanged) and
 // an array of request objects, answered item by item. Batch items fail
@@ -621,21 +606,10 @@ func (s *server) handleRecommend(rw http.ResponseWriter, r *http.Request) {
 	// The root span's trace id joins the response, the span tree at
 	// /debug/traces and the audit records (present at any sample rate).
 	traceID := requestTraceID(r)
-	dtos := s.renderRecommendations(carrier, recs, traceID)
-	writeJSON(rw, map[string]any{
-		"carrier":         carrier.ID,
-		"traceId":         traceID,
-		"recommendations": dtos,
+	s.recordServed(carrier, recs, traceID)
+	writeRecommendJSON(rw, func(b []byte) ([]byte, error) {
+		return appendRecommendResponse(b, int(carrier.ID), recs, traceID)
 	})
-	putRecDTOs(dtos)
-}
-
-// batchEntry is one item's slot in a batch response: recommendations or
-// an error, never both.
-type batchEntry struct {
-	Carrier         int              `json:"carrier"`
-	Error           string           `json:"error,omitempty"`
-	Recommendations []recommendation `json:"recommendations,omitempty"`
 }
 
 // wantsNDJSON reports whether the client negotiated streaming batch
@@ -664,16 +638,16 @@ func (s *server) handleRecommendBatch(rw http.ResponseWriter, r *http.Request, b
 		return
 	}
 	s.observeBatchSize(len(reqs))
-	entries := make([]batchEntry, len(reqs))
+	entries := make([]batchSlot, len(reqs))
 	items := make([]auric.BatchItem, 0, len(reqs))
 	itemOf := make([]int, 0, len(reqs)) // batch item -> request index
 	for i, req := range reqs {
 		carrier, neighbors, status, msg := s.resolveRecommend(net, x2, req)
 		if status != 0 {
-			entries[i] = batchEntry{Carrier: -1, Error: msg}
+			entries[i] = batchSlot{carrier: -1, err: msg}
 			continue
 		}
-		entries[i].Carrier = int(carrier.ID)
+		entries[i].carrier = int(carrier.ID)
 		items = append(items, auric.BatchItem{Carrier: carrier, Neighbors: neighbors})
 		itemOf = append(itemOf, i)
 	}
@@ -691,19 +665,16 @@ func (s *server) handleRecommendBatch(rw http.ResponseWriter, r *http.Request, b
 		for bi, res := range results {
 			e := &entries[itemOf[bi]]
 			if res.Err != nil {
-				e.Error = res.Err.Error()
+				e.err = res.Err.Error()
 				continue
 			}
-			e.Recommendations = s.renderRecommendations(items[bi].Carrier, res.Recommendations, traceID)
+			e.recs = res.Recommendations
+			s.recordServed(items[bi].Carrier, e.recs, traceID)
 		}
 	}
-	writeJSON(rw, map[string]any{
-		"traceId": traceID,
-		"results": entries,
+	writeRecommendJSON(rw, func(b []byte) ([]byte, error) {
+		return appendBatchResponse(b, entries, traceID)
 	})
-	for i := range entries {
-		putRecDTOs(entries[i].Recommendations)
-	}
 }
 
 // streamRecommendBatch writes the batch as NDJSON: one compact JSON
@@ -712,26 +683,24 @@ func (s *server) handleRecommendBatch(rw http.ResponseWriter, r *http.Request, b
 // its shard. Per-item failures (resolution or engine) ride inline as
 // {"error": ...} lines and never terminate the stream; only a transport
 // failure can truncate it.
-func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, entries []batchEntry, items []auric.BatchItem, itemOf []int, traceID string) {
+func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, entries []batchSlot, items []auric.BatchItem, itemOf []int, traceID string) {
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := rw.(http.Flusher)
-	// One pooled buffer + encoder serves every line of the stream (the
-	// encoder appends the NDJSON newline itself); per-line DTO slices
-	// return to their pool the moment the line is on the wire.
+	// One pooled buffer serves every line of the stream; a line's
+	// recommendations are released the moment it is on the wire.
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
-	enc := json.NewEncoder(buf)
 	next := 0 // next request index to write
 	writeUpTo := func(limit int) {
 		for ; next < limit; next++ {
 			buf.Reset()
-			if err := enc.Encode(&entries[next]); err != nil {
-				buf.Reset()
-				buf.WriteString("{\"carrier\":-1,\"error\":\"encoding entry\"}\n")
+			line, err := appendBatchLine(buf.AvailableBuffer(), &entries[next])
+			if err != nil {
+				line = append(line[:0], "{\"carrier\":-1,\"error\":\"encoding entry\"}\n"...)
 			}
-			rw.Write(buf.Bytes())
-			putRecDTOs(entries[next].Recommendations)
-			entries[next].Recommendations = nil
+			buf.Write(line) // keeps a grown line's capacity for the pool
+			rw.Write(line)
+			entries[next].recs = nil
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -744,9 +713,10 @@ func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, e
 		writeUpTo(ri)
 		e := &entries[ri]
 		if res.Err != nil {
-			e.Error = res.Err.Error()
+			e.err = res.Err.Error()
 		} else {
-			e.Recommendations = s.renderRecommendations(items[bi].Carrier, res.Recommendations, traceID)
+			e.recs = res.Recommendations
+			s.recordServed(items[bi].Carrier, e.recs, traceID)
 		}
 		writeUpTo(ri + 1)
 	})
@@ -797,24 +767,12 @@ func (s *server) resolveRecommend(net *auric.Network, x2 *auric.X2Graph, req rec
 	return carrier, neighbors, 0, ""
 }
 
-// renderRecommendations converts engine recommendations to response DTOs
-// and feeds the per-value serving counter and audit log — shared by the
-// single, batch and streaming forms so observability stays per-carrier
-// either way.
-func (s *server) renderRecommendations(carrier *auric.Carrier, recs []auric.Recommendation, traceID string) []recommendation {
+// recordServed feeds the per-value serving counter and audit log for one
+// carrier's recommendations — shared by the single, batch and streaming
+// forms so observability stays per-carrier either way.
+func (s *server) recordServed(carrier *auric.Carrier, recs []auric.Recommendation, traceID string) {
 	now := time.Now()
-	out := getRecDTOs(len(recs))
 	for _, rec := range recs {
-		out = append(out, recommendation{
-			Param:           rec.Param,
-			Neighbor:        int(rec.Neighbor),
-			Value:           rec.Value,
-			Confidence:      rec.Confidence,
-			Supported:       rec.Supported,
-			Explanation:     rec.Explanation,
-			RelaxationLevel: rec.RelaxationLevel,
-			Candidates:      rec.Candidates,
-		})
 		if s.recommendations != nil {
 			s.recommendations.With(strconv.FormatBool(rec.Supported)).Inc()
 		}
@@ -841,7 +799,6 @@ func (s *server) renderRecommendations(carrier *auric.Carrier, recs []auric.Reco
 			}
 		}
 	}
-	return out
 }
 
 // requestTraceID extracts the root span's trace id ("" when untraced).
@@ -872,39 +829,31 @@ func isJSONArray(body []byte) bool {
 	return false
 }
 
-// jsonBufs pools response encode buffers: recommend responses run to
-// hundreds of KB (65 parameters x explanation strings), and encoding into
-// a pooled buffer instead of a per-response one keeps the serving path's
-// allocation rate flat under load.
+// jsonBufs pools response buffers: a pair-wise recommend response runs to
+// ~120 KB (39 singular values plus 26 per X2 neighbor, each with its
+// explanation string), and building it in a pooled buffer instead of a
+// per-response one keeps the serving path's allocation rate flat under
+// load. The recommend appender and writeJSON's encoder share the pool.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// recDTOPool recycles the []recommendation DTO slices every response body
-// is built from; callers return them via putRecDTOs once the bytes are on
-// the wire (the encoder has copied everything it needs by then).
-var recDTOPool = sync.Pool{New: func() any { s := make([]recommendation, 0, 80); return &s }}
-
-func getRecDTOs(n int) []recommendation {
-	p := recDTOPool.Get().(*[]recommendation)
-	s := *p
-	if cap(s) < n {
-		*p = nil
-		recDTOPool.Put(p)
-		return make([]recommendation, 0, n)
-	}
-	// Hand out the backing array and recycle the header box; the slice
-	// comes back through putRecDTOs.
-	*p = nil
-	recDTOPool.Put(p)
-	return s[:0]
-}
-
-func putRecDTOs(s []recommendation) {
-	if cap(s) == 0 {
+// writeRecommendJSON sends a POST /v1/recommend body built by appendBody
+// into a pooled buffer; an encoding failure (a non-finite value) answers
+// 500 exactly as writeJSON does.
+func writeRecommendJSON(rw http.ResponseWriter, appendBody func([]byte) ([]byte, error)) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	body, err := appendBody(buf.AvailableBuffer())
+	if err != nil {
+		log.Printf("auricd: encoding response: %v", err)
+		writeError(rw, http.StatusInternalServerError, "encoding response")
 		return
 	}
-	clear(s[:cap(s)])
-	s = s[:0]
-	recDTOPool.Put(&s)
+	buf.Write(body) // keeps a grown body's capacity for the pool
+	rw.Header().Set("Content-Type", "application/json")
+	if _, err := rw.Write(body); err != nil {
+		log.Printf("auricd: writing response: %v", err)
+	}
 }
 
 func writeJSON(rw http.ResponseWriter, v any) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"auric/internal/lte"
@@ -166,7 +167,10 @@ func Save(path string, net *lte.Network, cfg *lte.Config) error {
 // SaveFull writes a compacted snapshot: the full inventory plus the
 // tombstoned carrier ids and the last journal sequence number it folds in.
 // The file is written to a temporary sibling and renamed into place, so a
-// crash mid-write never leaves a torn snapshot where a good one stood.
+// crash mid-write never leaves a torn snapshot where a good one stood, and
+// the parent directory is fsynced after the rename: only once SaveFull
+// returns nil is the new snapshot's name durable, so a caller may then
+// discard what it folds in (compaction resets the journal).
 func SaveFull(path string, net *lte.Network, cfg *lte.Config, tombstones []lte.CarrierID, journalSeq int64) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -191,7 +195,23 @@ func SaveFull(path string, net *lte.Network, cfg *lte.Config, tombstones []lte.C
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Write streams the snapshot to w (uncompressed JSON) in the current
