@@ -10,8 +10,8 @@ package core
 // Because the serving generation is part of the key and every generation
 // swap (Load, Apply) also drops the map wholesale, invalidation is
 // structural — a patched or retrained model starts cold by construction,
-// with no TTL races. A singleflight layer collapses concurrent identical
-// in-flight requests into one computation.
+// with no TTL races. A singleflight layer collapses identical in-flight
+// requests, concurrent or repeated within one batch, into one computation.
 //
 // Cached values are shared, not copied: callers must treat a returned
 // []Recommendation as immutable, which every caller in this repository
@@ -64,7 +64,10 @@ type recCache struct {
 	flights  map[string]*flight
 }
 
+// flight is one key's in-flight computation; recs and err are final once
+// done closes.
 type flight struct {
+	key  string
 	done chan struct{}
 	recs []Recommendation
 	err  error
@@ -174,29 +177,18 @@ func appendKeyStr(b []byte, s string) []byte {
 // when an entry is actually stored).
 var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 160); return &b }}
 
-// keyHash is FNV-1a over the key bytes, used only to pick a shard.
-// keyHashStr is the same function over a string key; the two must stay
-// identical so get (byte view) and put (stored string) agree on shards.
-func keyHash(b []byte) uint64 {
+// keyHash is FNV-1a over a key, used only to pick a shard: get hashes the
+// pooled byte view and put the stored string, so both see one function.
+func keyHash[K string | []byte](k K) uint64 {
 	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
 		h *= 1099511628211
 	}
 	return h
 }
 
-func keyHashStr(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Counter helpers pair the per-engine stat with its process-wide metric;
-// batch and stream paths attribute hits/misses/shared themselves.
+// Counter helpers pair the per-engine stat with its process-wide metric.
 func (rc *recCache) countHit()    { rc.hits.Add(1); cacheHitsTotal.Inc() }
 func (rc *recCache) countMiss()   { rc.misses.Add(1); cacheMissesTotal.Inc() }
 func (rc *recCache) countShared() { rc.shared.Add(1); cacheSharedTotal.Inc() }
@@ -220,7 +212,7 @@ func (rc *recCache) get(key []byte) ([]Recommendation, bool) {
 // put stores a computed recommendation set, evicting the shard's least
 // recently used entry when at capacity.
 func (rc *recCache) put(key string, recs []Recommendation) {
-	s := &rc.shards[keyHashStr(key)%cacheShardCount]
+	s := &rc.shards[keyHash(key)%cacheShardCount]
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
 		e.recs = recs
@@ -267,29 +259,24 @@ func (rc *recCache) reset() {
 	cacheEntriesGauge.Set(0)
 }
 
-// recommend is the singleflight read-through path: serve from cache,
-// else join an identical in-flight computation, else compute (and cache
-// on success — errors are never cached). A waiter whose leader failed
-// computes independently rather than inheriting the failure, so one
-// cancelled request cannot poison the requests that piled up behind it.
-func (rc *recCache) recommend(key []byte, compute func() ([]Recommendation, error)) ([]Recommendation, error) {
+// lookup is the read side of the cache. A hit returns the cached set and a
+// nil flight. A miss returns the key's in-flight computation: lead reports
+// that this call registered it and must compute it and finish the flight;
+// otherwise the caller joined an earlier caller's flight and waits on its
+// done channel. Identical misses, concurrent or within one batch, thus
+// collapse onto one computation.
+func (rc *recCache) lookup(key []byte) (recs []Recommendation, f *flight, lead bool) {
 	if recs, ok := rc.get(key); ok {
 		rc.countHit()
-		return recs, nil
+		return recs, nil, false
 	}
 	ks := string(key)
 	rc.flightMu.Lock()
 	if f, ok := rc.flights[ks]; ok {
 		rc.flightMu.Unlock()
-		<-f.done
-		if f.err == nil {
-			rc.countShared()
-			return f.recs, nil
-		}
-		rc.countMiss()
-		return compute()
+		return nil, f, false
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{key: ks, done: make(chan struct{})}
 	rc.flights[ks] = f
 	rc.flightMu.Unlock()
 	// Re-check under flight leadership: a previous leader may have
@@ -298,26 +285,23 @@ func (rc *recCache) recommend(key []byte, compute func() ([]Recommendation, erro
 	// exactly one computation" exact rather than approximate.
 	if recs, ok := rc.get(key); ok {
 		rc.countHit()
-		f.recs = recs
-		rc.endFlight(ks, f)
-		return recs, nil
+		rc.finish(f, recs, nil)
+		return recs, nil, false
 	}
-	recs, err := compute()
-	f.recs, f.err = recs, err
-	if err == nil {
-		rc.put(ks, recs)
-	}
-	rc.countMiss()
-	rc.endFlight(ks, f)
-	return recs, err
+	return nil, f, true
 }
 
-// endFlight publishes the flight's result: the key leaves the flight map
-// first, so a request arriving after the close finds the cached entry
-// instead of a spent flight.
-func (rc *recCache) endFlight(key string, f *flight) {
+// finish publishes a leader's result: a successful set is cached (errors
+// never are), then the key leaves the flight map — so a request arriving
+// after the close finds the cached entry instead of a spent flight — and
+// the waiters wake.
+func (rc *recCache) finish(f *flight, recs []Recommendation, err error) {
+	f.recs, f.err = recs, err
+	if err == nil {
+		rc.put(f.key, recs)
+	}
 	rc.flightMu.Lock()
-	delete(rc.flights, key)
+	delete(rc.flights, f.key)
 	rc.flightMu.Unlock()
 	close(f.done)
 }

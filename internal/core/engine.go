@@ -57,7 +57,8 @@ type Options struct {
 	Learner learn.Learner
 	// Local enables geographic scoping: recommendations vote only among
 	// carriers within Hops X2 hops of the new carrier. Requires the
-	// learner's models to implement learn.ScopedModel (CF does).
+	// learner's models to implement learn.CodesModel (CF does); otherwise
+	// every recommendation fails with a "cannot scope" error.
 	Local bool
 	// Hops is the scoping radius; zero means 1 (the paper's setting).
 	Hops int
@@ -98,6 +99,16 @@ type Engine struct {
 	net    *lte.Network
 	x2     *geo.Graph
 	models []learn.Model // indexed by schema index; nil before Train
+
+	// Serving plan, decided once by install. codes holds every model as a
+	// learn.CodesModel when the whole set serves through the codes path
+	// (nil otherwise, and plain Predict serves); sRep and pRep are the
+	// singular and pair-wise encoding representatives. serveErr, when
+	// set, fails every recommendation: the options ask for a path the
+	// models cannot serve.
+	codes      []learn.CodesModel
+	sRep, pRep learn.CodesModel
+	serveErr   error
 }
 
 // New creates an engine over the given schema.
@@ -114,9 +125,6 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 // Schema returns the engine's parameter schema.
 func (e *Engine) Schema() *paramspec.Schema { return e.schema }
 
-// LearnerName reports the configured learner.
-func (e *Engine) LearnerName() string { return e.opts.Learner.Name() }
-
 // Train fits one dependency model per configuration parameter from the
 // network's current configuration. It must be called before Recommend.
 //
@@ -126,7 +134,6 @@ func (e *Engine) LearnerName() string { return e.opts.Learner.Name() }
 // state is identical at every worker count.
 func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 	defer obs.Since(trainSeconds, time.Now())
-	e.net, e.x2 = net, x2
 	keep := e.opts.Keep
 	if e.opts.Vendor != "" {
 		vendor, base := e.opts.Vendor, keep
@@ -154,8 +161,54 @@ func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 	if err != nil {
 		return err
 	}
-	e.models = models
+	e.install(net, x2, models)
 	return nil
+}
+
+// install binds the engine to an inventory and its fitted models and
+// decides, once for every request that follows, how recommendOne predicts:
+// through the codes path when every model is a learn.CodesModel and each
+// parameter group (singular, pair-wise) shares one encoding, else through
+// plain Predict. A local engine without the codes path cannot scope, so
+// every recommendation fails with serveErr. Train, live-ingest patching
+// and the inventory-only rebind all install through here.
+func (e *Engine) install(net *lte.Network, x2 *geo.Graph, models []learn.Model) {
+	e.net, e.x2, e.models = net, x2, models
+	e.codes, e.sRep, e.pRep, e.serveErr = nil, nil, nil, nil
+	codes := make([]learn.CodesModel, len(models))
+	for pi, m := range models {
+		cm, ok := m.(learn.CodesModel)
+		if !ok {
+			codes = nil
+			break
+		}
+		codes[pi] = cm
+	}
+	if codes != nil {
+		sRep, sOK := sharedEncoding(codes, e.schema.Singular())
+		pRep, pOK := sharedEncoding(codes, e.schema.PairWise())
+		if sOK && pOK {
+			e.codes, e.sRep, e.pRep = codes, sRep, pRep
+		}
+	}
+	if e.opts.Local && e.codes == nil {
+		e.serveErr = fmt.Errorf("core: learner %s cannot scope geographically", e.opts.Learner.Name())
+	}
+}
+
+// sharedEncoding returns the encoding representative of the models of pis
+// (nil for an empty group) and whether every one of them shares its
+// encoding.
+func sharedEncoding(codes []learn.CodesModel, pis []int) (learn.CodesModel, bool) {
+	var rep learn.CodesModel
+	for _, pi := range pis {
+		if rep == nil {
+			rep = codes[pi]
+		} else if !rep.SharesEncoding(codes[pi]) {
+			return nil, false
+		}
+	}
+	return rep, true
 }
 
 // Model returns the fitted model of one parameter (nil before Train).
@@ -206,31 +259,6 @@ type Recommendation struct {
 	// Dependents are the "attribute=value" pairs the model matched on,
 	// strongest association first (nil for non-CF learners).
 	Dependents []string
-}
-
-// CopyRecommendations deep-copies a recommendation slice. Cached results
-// from the generation-keyed serving cache are shared across requests and
-// must not be mutated; callers that need to edit an answer in place copy
-// it first. Dependents is the only slice field, everything else copies by
-// value.
-func CopyRecommendations(recs []Recommendation) []Recommendation {
-	if recs == nil {
-		return nil
-	}
-	out := make([]Recommendation, len(recs))
-	copy(out, recs)
-	for i := range out {
-		if d := out[i].Dependents; d != nil {
-			out[i].Dependents = append(make([]string, 0, len(d)), d...)
-		}
-	}
-	return out
-}
-
-// dependentValuer is implemented by models that can report the
-// "name=value" evidence key of a query row (cf.Model does).
-type dependentValuer interface {
-	DependentValues(row []string) []string
 }
 
 // Recommend produces recommendations for every parameter of a new carrier.
@@ -290,48 +318,12 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]Batch
 	return e.recommendMany(ctx, items), nil
 }
 
-// codesRep returns a model against which every model of pis shares its
-// query encoding — the representative a batch encodes rows through once —
-// or nil when any model opts out of the codes fast path.
-func (e *Engine) codesRep(pis []int) learn.CodesModel {
-	var rep learn.CodesModel
-	for _, pi := range pis {
-		m, ok := e.models[pi].(learn.CodesModel)
-		if !ok {
-			return nil
-		}
-		if rep == nil {
-			rep = m
-			continue
-		}
-		if !rep.SharesEncoding(m) {
-			return nil
-		}
-	}
-	return rep
-}
-
-// scopesFor precomputes, per parameter model, the neighborhood scope for
-// the allowed From carriers (nil for models without SiteScoper support,
-// which fall back to the predicate path).
-func (e *Engine) scopesFor(ids []lte.CarrierID) []learn.Scope {
-	scopes := make([]learn.Scope, len(e.models))
-	for pi, m := range e.models {
-		if ss, ok := m.(learn.SiteScoper); ok {
-			scopes[pi] = ss.ScopeFrom(ids)
-		}
-	}
-	return scopes
-}
-
 // itemState is one batch item's planning state within recommendMany.
 type itemState struct {
 	ctx      context.Context
 	sp       *trace.Span
 	start    time.Time
-	scopes   []learn.Scope
-	scope    func(dataset.Site) bool
-	scoped   bool
+	scopes   []learn.Scope // per parameter; nil unless Options.Local
 	firstJob int
 	numJobs  int
 	err      error
@@ -371,11 +363,15 @@ func putRecScratch(sc *recScratch) {
 	recScratchPool.Put(sc)
 }
 
-// rowAppender is the allocation-free encoding hook of a learn.CodesModel:
-// cf.Model implements it, letting the batch planner append each query
-// row's codes into a pooled arena instead of allocating per row.
-type rowAppender interface {
-	AppendEncodeRow(dst []int32, row []string) []int32
+// encode appends rep's encoding of row to the codes arena and returns it;
+// nil when rep is nil (no codes path, or a group without parameters).
+func (sc *recScratch) encode(rep learn.CodesModel, row []string) []int32 {
+	if rep == nil {
+		return nil
+	}
+	cb := len(sc.codes)
+	sc.codes = rep.AppendEncodeRow(sc.codes, row)
+	return sc.codes[cb:len(sc.codes):len(sc.codes)]
 }
 
 // recommendMany is the shared core of RecommendContext and RecommendBatch:
@@ -385,14 +381,6 @@ type rowAppender interface {
 // is byte-identical to the serial walk at any worker count.
 func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchResult {
 	singular, pair := e.schema.Singular(), e.schema.PairWise()
-	// One encoding representative per attribute base: when every model of
-	// a group shares its base, each attribute vector is dictionary-encoded
-	// once here instead of once per parameter model.
-	sRep := e.codesRep(singular)
-	var pRep learn.CodesModel
-	if len(pair) > 0 {
-		pRep = e.codesRep(pair)
-	}
 	sc := recScratchPool.Get().(*recScratch)
 	if cap(sc.states) < len(items) {
 		sc.states = make([]itemState, len(items))
@@ -401,41 +389,33 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	// the elements a batch used before resetting the lengths.
 	states := sc.states[:len(items)]
 	sc.states = states
-	sRowApp, _ := sRep.(rowAppender)
-	pRowApp, _ := pRep.(rowAppender)
 	jobs := sc.jobs[:0]
 	for ii := range items {
 		c := items[ii].Carrier
 		ictx, sp := trace.Start(ctx, "engine.recommend")
 		st := &states[ii]
 		st.ctx, st.sp, st.start = ictx, sp, time.Now()
+		st.firstJob = len(jobs)
+		sp.SetInt("carrier", int64(c.ID))
+		sp.SetInt("neighbors", int64(len(items[ii].Neighbors)))
+		sp.SetBool("scoped", e.opts.Local)
+		if e.serveErr != nil {
+			st.err = e.serveErr
+			sp.SetInt("jobs", 0)
+			continue
+		}
 		if e.opts.Local {
-			ids := e.scopeIDsFor(c)
-			st.scoped = true
-			st.scopes = e.scopesFor(ids)
-			allowed := make(map[lte.CarrierID]bool, len(ids))
-			for _, id := range ids {
-				allowed[id] = true
-			}
-			st.scope = func(s dataset.Site) bool { return allowed[s.From] }
+			st.scopes = e.scopesFor(c)
 		}
 		// Attribute vectors and their encodings append into the pooled
 		// arenas; a grown arena leaves earlier vectors on the previous
-		// backing array, which stays reachable through their jobs.
+		// backing array, which stays reachable through their jobs. Each
+		// vector is encoded once, through its group's representative,
+		// instead of once per parameter model.
 		base := len(sc.attrs)
 		sc.attrs = c.AppendAttributeVector(sc.attrs)
 		attrs := sc.attrs[base:len(sc.attrs):len(sc.attrs)]
-		var sCodes []int32
-		if sRep != nil {
-			if sRowApp != nil {
-				cb := len(sc.codes)
-				sc.codes = sRowApp.AppendEncodeRow(sc.codes, attrs)
-				sCodes = sc.codes[cb:len(sc.codes):len(sc.codes)]
-			} else {
-				sCodes = sRep.EncodeRow(attrs)
-			}
-		}
-		st.firstJob = len(jobs)
+		sCodes := sc.encode(e.sRep, attrs)
 		for _, pi := range singular {
 			jobs = append(jobs, recJob{ii, pi, attrs, sCodes, -1})
 		}
@@ -451,25 +431,13 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 			sc.attrs = append(sc.attrs, attrs...)
 			sc.attrs = e.net.Carriers[nb].AppendAttributeVector(sc.attrs)
 			pairAttrs := sc.attrs[pb:len(sc.attrs):len(sc.attrs)]
-			var pCodes []int32
-			if pRep != nil {
-				if pRowApp != nil {
-					cb := len(sc.codes)
-					sc.codes = pRowApp.AppendEncodeRow(sc.codes, pairAttrs)
-					pCodes = sc.codes[cb:len(sc.codes):len(sc.codes)]
-				} else {
-					pCodes = pRep.EncodeRow(pairAttrs)
-				}
-			}
+			pCodes := sc.encode(e.pRep, pairAttrs)
 			for _, pi := range pair {
 				jobs = append(jobs, recJob{ii, pi, pairAttrs, pCodes, nb})
 			}
 		}
 		st.numJobs = len(jobs) - st.firstJob
-		sp.SetInt("carrier", int64(c.ID))
-		sp.SetInt("neighbors", int64(len(items[ii].Neighbors)))
 		sp.SetInt("jobs", int64(st.numJobs))
-		sp.SetBool("scoped", st.scoped)
 	}
 	sc.jobs = jobs
 	// out escapes into the returned results (each item's recommendations
@@ -488,10 +456,10 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		psp.SetStr("param", e.schema.At(j.pi).Name)
 		psp.SetInt("neighbor", int64(j.neighbor))
 		var sc learn.Scope
-		if st.scoped && st.scopes != nil {
+		if st.scopes != nil {
 			sc = st.scopes[j.pi]
 		}
-		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, sc, st.scope, st.scoped)
+		rec, err := e.recommendOne(j.pi, j.attrs, j.codes, j.neighbor, sc)
 		if err != nil {
 			psp.SetStr("error", err.Error())
 			psp.Finish()
@@ -555,33 +523,15 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 	return results
 }
 
-// recommendOne predicts one parameter, applying geographic scoping when
-// configured and available. The fastest applicable path wins: pre-encoded
-// query codes (learn.CodesModel), then a precomputed neighborhood scope
-// (learn.SiteScoper), then the per-row predicate, then plain Predict.
-func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope, scope func(dataset.Site) bool, scoped bool) (Recommendation, error) {
-	m := e.models[pi]
-	if m == nil {
-		return Recommendation{}, fmt.Errorf("core: no model for parameter %d", pi)
-	}
+// recommendOne predicts one parameter through the path install chose:
+// PredictCodes over the job's pre-encoded codes and the item's scope (nil
+// unless Options.Local) on the codes path, plain Predict otherwise.
+func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lte.CarrierID, sc learn.Scope) (Recommendation, error) {
 	var p learn.Prediction
-	switch {
-	case scoped && sc != nil:
-		if codes != nil {
-			p = m.(learn.CodesModel).PredictCodes(codes, attrs, sc)
-		} else {
-			p = m.(learn.SiteScoper).PredictScope(attrs, sc)
-		}
-	case scoped:
-		sm, ok := m.(learn.ScopedModel)
-		if !ok {
-			return Recommendation{}, fmt.Errorf("core: learner %s cannot scope geographically", e.opts.Learner.Name())
-		}
-		p = sm.PredictScoped(attrs, scope)
-	case codes != nil:
-		p = m.(learn.CodesModel).PredictCodes(codes, attrs, nil)
-	default:
-		p = m.Predict(attrs)
+	if e.codes != nil {
+		p = e.codes[pi].PredictCodes(codes, attrs, sc)
+	} else {
+		p = e.models[pi].Predict(attrs)
 	}
 	spec := e.schema.At(pi)
 	v, err := parseLabel(spec, p.Label)
@@ -606,18 +556,17 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 		PostingLists:    p.Diag.PostingLists,
 		Dropped:         p.Diag.Dropped,
 	}
-	if dv, ok := m.(dependentValuer); ok {
-		rec.Dependents = dv.DependentValues(attrs)
+	if e.codes != nil {
+		rec.Dependents = e.codes[pi].DependentValues(attrs)
 	}
 	return rec, nil
 }
 
-// scopeIDsFor lists the carriers whose training evidence a new carrier's
-// recommendations may vote with: those within Hops X2 hops of the
-// carrier's eNodeB, excluding the carrier itself.
-func (e *Engine) scopeIDsFor(c *lte.Carrier) []lte.CarrierID {
-	// Anchoring on the eNodeB (not the carrier id) also covers new
-	// carriers that are not yet in the X2 graph: their eNodeB is.
+// scopesFor builds, per parameter model, the voting scope of a new
+// carrier: the carriers within Hops X2 hops of its eNodeB, excluding the
+// carrier itself. Anchoring on the eNodeB (not the carrier id) also covers
+// new carriers that are not yet in the X2 graph: their eNodeB is.
+func (e *Engine) scopesFor(c *lte.Carrier) []learn.Scope {
 	near := e.x2.CarriersNearENodeB(e.net, c.ENodeB, e.opts.Hops)
 	ids := make([]lte.CarrierID, 0, len(near))
 	for _, id := range near {
@@ -625,7 +574,11 @@ func (e *Engine) scopeIDsFor(c *lte.Carrier) []lte.CarrierID {
 			ids = append(ids, id)
 		}
 	}
-	return ids
+	scopes := make([]learn.Scope, len(e.codes))
+	for pi, m := range e.codes {
+		scopes[pi] = m.ScopeFrom(ids)
+	}
+	return scopes
 }
 
 func parseLabel(spec paramspec.Param, label string) (float64, error) {

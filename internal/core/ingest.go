@@ -224,7 +224,9 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 		trained++
 		md := mds[m]
 		if md == nil {
-			shards[m] = &Engine{opts: e.opts, schema: e.schema, net: net2, x2: x22, models: e.models}
+			ne := &Engine{opts: e.opts, schema: e.schema}
+			ne.install(net2, x22, e.models)
+			shards[m] = ne
 			continue
 		}
 		keep := se.marketKeep(net2, dead2, m)
@@ -239,21 +241,9 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 
 	st := &shardState{gen: cur.gen + 1, net: net2, x2: x22, cfg: cfg2, dead: dead2,
 		shards: shards, drained: make(chan struct{})}
-	st.refs.Store(1)
-	se.gen.Store(st.gen)
-	old := se.state.Swap(st)
-	shardSwapsTotal.Inc()
-	shardGeneration.Set(float64(st.gen))
-	shardCount.Set(float64(trained))
 	ingestModelsPatched.Add(uint64(res.Patched))
 	ingestModelsRefit.Add(uint64(res.Refit))
-	// Patched models must start cold: the new generation re-keys every
-	// request, and the reset reclaims the stale generation's entries.
-	se.cache.reset()
-	if old != nil {
-		old.release() // drop the installed reference; in-flight requests hold theirs
-		<-old.drained
-	}
+	se.swap(st, trained)
 	if o := se.observer(); o != nil {
 		o.ObserveApply(st.gen, net2, assigned, tombs)
 	}
@@ -485,160 +475,105 @@ func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *g
 		if !dead2[id] {
 			newList = x22.CarrierNeighbors(id)
 		}
-		switch {
-		case changed[id]:
-			for _, b := range oldList {
+		// A relation is re-added when either endpoint changed, and added
+		// or removed when the adjacency itself changed. Neighbor lists are
+		// capped short, so the membership scans stay cheap.
+		for _, b := range oldList {
+			if changed[id] || changed[b] || !slices.Contains(newList, b) {
 				m.rmPair = append(m.rmPair, dataset.Site{From: id, To: b})
 			}
-			for _, b := range newList {
+		}
+		for _, b := range newList {
+			if changed[id] || changed[b] || !slices.Contains(oldList, b) {
 				m.addEdges = append(m.addEdges, lte.EdgeKey{From: id, To: b})
-			}
-		case slices.Equal(oldList, newList):
-			for _, b := range oldList {
-				if changed[b] {
-					m.rmPair = append(m.rmPair, dataset.Site{From: id, To: b})
-					m.addEdges = append(m.addEdges, lte.EdgeKey{From: id, To: b})
-				}
-			}
-		default:
-			oldSet := make(map[lte.CarrierID]bool, len(oldList))
-			for _, b := range oldList {
-				oldSet[b] = true
-			}
-			newSet := make(map[lte.CarrierID]bool, len(newList))
-			for _, b := range newList {
-				newSet[b] = true
-			}
-			for _, b := range oldList {
-				if !newSet[b] || changed[b] {
-					m.rmPair = append(m.rmPair, dataset.Site{From: id, To: b})
-				}
-			}
-			for _, b := range newList {
-				if !oldSet[b] || changed[b] {
-					m.addEdges = append(m.addEdges, lte.EdgeKey{From: id, To: b})
-				}
 			}
 		}
 	}
 	return mds
 }
 
-// cfModel asserts one parameter model supports incremental update.
-func (e *Engine) cfModel(pi int) (*cf.Model, error) {
-	m, ok := e.models[pi].(*cf.Model)
-	if !ok {
-		return nil, fmt.Errorf("core: live ingest requires cf models; parameter %s has %T", e.schema.At(pi).Name, e.models[pi])
-	}
-	return m, nil
-}
-
 // patched returns a copy of the engine over the new inventory with its
-// models absorbed into the market delta: the shared singular and pair-wise
-// columnar bases are extended copy-on-write once each, then every parameter
-// model is updated sequentially (appends to the shared site slices must not
-// race). Models whose base saw no change carry over by reference.
+// models absorbed into the market delta, one parameter group (singular,
+// pair-wise) at a time.
 func (e *Engine) patched(net *lte.Network, x2 *geo.Graph, cfg *lte.Config, keep dataset.Filter,
 	md *marketDelta) (*Engine, int, int, error) {
-	opts := e.opts
-	opts.Keep = keep
-	ne := &Engine{opts: opts, schema: e.schema, net: net, x2: x2}
-	models := make([]learn.Model, len(e.models))
-	copy(models, e.models)
-	patched, refit := 0, 0
+	models := slices.Clone(e.models)
 
 	// Rows only exist for carriers the shard trains on; the keep filter
 	// drops adds outside it (tombstones of filtered carriers match no row
 	// and are ignored by Update).
-	addIDs := md.addIDs
-	if keep != nil {
-		addIDs = make([]lte.CarrierID, 0, len(md.addIDs))
-		for _, id := range md.addIDs {
-			if keep(id) {
-				addIDs = append(addIDs, id)
-			}
+	var sRows, pRows [][]string
+	var sSites, pSites []dataset.Site
+	for _, id := range md.addIDs {
+		if keep == nil || keep(id) {
+			sRows = append(sRows, net.Carriers[id].AttributeVector())
+			sSites = append(sSites, dataset.Site{From: id, To: -1})
 		}
 	}
-	addEdges := md.addEdges
-	if keep != nil {
-		addEdges = make([]lte.EdgeKey, 0, len(md.addEdges))
-		for _, k := range md.addEdges {
-			if keep(k.From) {
-				addEdges = append(addEdges, k)
-			}
+	for _, k := range md.addEdges {
+		if keep == nil || keep(k.From) {
+			pRows = append(pRows, lte.PairAttributeVector(&net.Carriers[k.From], &net.Carriers[k.To]))
+			pSites = append(pSites, dataset.Site{From: k.From, To: k.To})
 		}
 	}
+	sp, sr, err := e.patchGroup(models, e.schema.Singular(), cfg, sRows, sSites, md.rmSing)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	pp, pr, err := e.patchGroup(models, e.schema.PairWise(), cfg, pRows, pSites, md.rmPair)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	opts := e.opts
+	opts.Keep = keep
+	ne := &Engine{opts: opts, schema: e.schema}
+	ne.install(net, x2, models)
+	return ne, sp + pp, sr + pr, nil
+}
 
-	singular, pair := e.schema.Singular(), e.schema.PairWise()
-	if len(singular) > 0 && (len(addIDs) > 0 || len(md.rmSing) > 0) {
-		rows := make([][]string, len(addIDs))
-		for i, id := range addIDs {
-			rows[i] = net.Carriers[id].AttributeVector()
+// patchGroup absorbs one parameter group's share of a market delta into
+// models: the group's shared columnar base is extended copy-on-write once
+// with rows, then every model of pis is rebased onto the extension, given
+// the new rows' samples (sites parallel rows), and updated with the
+// tombstones rm — sequentially, because appends to the shared site slices
+// must not race. A group whose base saw no change keeps its models.
+func (e *Engine) patchGroup(models []learn.Model, pis []int, cfg *lte.Config,
+	rows [][]string, sites, rm []dataset.Site) (patched, refit int, err error) {
+	if len(rows) == 0 && len(rm) == 0 {
+		return 0, 0, nil
+	}
+	var ext *dataset.Extension
+	for _, pi := range pis {
+		spec := e.schema.At(pi)
+		m, ok := e.models[pi].(*cf.Model)
+		if !ok {
+			return 0, 0, fmt.Errorf("core: live ingest requires cf models; parameter %s has %T", spec.Name, e.models[pi])
 		}
-		rep, err := e.cfModel(singular[0])
-		if err != nil {
-			return nil, 0, 0, err
+		if ext == nil {
+			ext = dataset.ExtendBase(m.Table(), rows)
 		}
-		ext := dataset.ExtendBase(rep.Table(), rows)
-		for _, pi := range singular {
-			m, err := e.cfModel(pi)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			t2 := ext.Rebase(m.Table())
-			spec := e.schema.At(pi)
-			for k, id := range addIDs {
-				v := cfg.Get(id, pi)
-				t2.AppendSample(ext.FirstRow()+int32(k), spec.Format(v), v, dataset.Site{From: id, To: -1})
-			}
-			nm, ok, err := m.Update(t2, md.rmSing)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("core: patching %s: %w", spec.Name, err)
-			}
-			models[pi] = nm
-			if ok {
-				patched++
+		t2 := ext.Rebase(m.Table())
+		for k, s := range sites {
+			v, ok := 0.0, true
+			if s.To < 0 {
+				v = cfg.Get(s.From, pi)
 			} else {
-				refit++
+				v, ok = cfg.GetPair(s.From, s.To, pi)
 			}
+			if ok { // unconfigured relations carry no sample, as at build
+				t2.AppendSample(ext.FirstRow()+int32(k), spec.Format(v), v, s)
+			}
+		}
+		nm, ok, err := m.Update(t2, rm)
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: patching %s: %w", spec.Name, err)
+		}
+		models[pi] = nm
+		if ok {
+			patched++
+		} else {
+			refit++
 		}
 	}
-	if len(pair) > 0 && (len(addEdges) > 0 || len(md.rmPair) > 0) {
-		rows := make([][]string, len(addEdges))
-		for i, k := range addEdges {
-			rows[i] = lte.PairAttributeVector(&net.Carriers[k.From], &net.Carriers[k.To])
-		}
-		rep, err := e.cfModel(pair[0])
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		ext := dataset.ExtendBase(rep.Table(), rows)
-		for _, pi := range pair {
-			m, err := e.cfModel(pi)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			t2 := ext.Rebase(m.Table())
-			spec := e.schema.At(pi)
-			for k, key := range addEdges {
-				v, ok := cfg.GetPair(key.From, key.To, pi)
-				if !ok {
-					continue // unconfigured relations carry no sample, as at build
-				}
-				t2.AppendSample(ext.FirstRow()+int32(k), spec.Format(v), v, dataset.Site{From: key.From, To: key.To})
-			}
-			nm, ok, err := m.Update(t2, md.rmPair)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("core: patching %s: %w", spec.Name, err)
-			}
-			models[pi] = nm
-			if ok {
-				patched++
-			} else {
-				refit++
-			}
-		}
-	}
-	ne.models = models
-	return ne, patched, refit, nil
+	return patched, refit, nil
 }

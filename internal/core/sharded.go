@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,7 +120,6 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 	defer se.loadMu.Unlock()
 	defer obs.Since(shardLoadSeconds, time.Now())
 	st := &shardState{gen: se.gen.Load() + 1, net: net, x2: x2, cfg: cfg, drained: make(chan struct{})}
-	st.refs.Store(1)
 	st.shards = make([]*Engine, len(net.Markets))
 	carriers := make([]int, len(net.Markets))
 	for i := range net.Carriers {
@@ -147,22 +147,30 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 	if trained == 0 {
 		return 0, fmt.Errorf("core: snapshot has no carriers in any of its %d markets", len(net.Markets))
 	}
+	se.swap(st, trained)
+	if o := se.observer(); o != nil {
+		o.ObserveLoad(st.gen, net, x2, cfg)
+	}
+	return st.gen, nil
+}
+
+// swap installs a new serving generation of trained shards (Load and
+// Apply, under loadMu) and returns once the previous one has drained.
+// The new generation is part of every cache key, so stale entries can
+// never hit — patched or retrained models start cold by construction; the
+// cache reset just reclaims their memory immediately.
+func (se *ShardedEngine) swap(st *shardState, trained int) {
+	st.refs.Store(1)
 	se.gen.Store(st.gen)
 	old := se.state.Swap(st)
 	shardSwapsTotal.Inc()
 	shardGeneration.Set(float64(st.gen))
 	shardCount.Set(float64(trained))
-	// The new generation is part of every cache key, so stale entries can
-	// never hit; the reset just reclaims their memory immediately.
 	se.cache.reset()
 	if old != nil {
 		old.release() // drop the installed reference; in-flight requests hold theirs
 		<-old.drained
 	}
-	if o := se.observer(); o != nil {
-		o.ObserveLoad(st.gen, net, x2, cfg)
-	}
-	return st.gen, nil
 }
 
 // acquire pins the current serving generation. The retry loop closes the
@@ -203,7 +211,7 @@ func (se *ShardedEngine) Inventory() (*lte.Network, *geo.Graph, int64, error) {
 	return st.net, st.x2, st.gen, nil
 }
 
-// ShardSize reports the carriers served by each market shard in the
+// ShardSizes reports the carriers served by each market shard in the
 // current generation, indexed by market id (0 for untrained markets).
 func (se *ShardedEngine) ShardSizes() ([]int, error) {
 	st, err := se.acquire()
@@ -240,132 +248,25 @@ func (se *ShardedEngine) Recommend(c *lte.Carrier, neighbors []lte.CarrierID) ([
 // RecommendContext routes one carrier to its market shard, pinning the
 // serving generation for the duration of the call.
 func (se *ShardedEngine) RecommendContext(ctx context.Context, c *lte.Carrier, neighbors []lte.CarrierID) ([]Recommendation, error) {
-	st, err := se.acquire()
+	var res BatchResult
+	err := se.serve(ctx, []BatchItem{{Carrier: c, Neighbors: neighbors}}, 1, func(_ int, r BatchResult) { res = r })
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
-	eng, err := st.shardFor(c)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Recommendation
-	if se.cache != nil {
-		kb := keyBufs.Get().(*[]byte)
-		*kb = appendCacheKey((*kb)[:0], st.gen, c, neighbors)
-		recs, err = se.cache.recommend(*kb, func() ([]Recommendation, error) {
-			return eng.RecommendContext(ctx, c, neighbors)
-		})
-		keyBufs.Put(kb)
-	} else {
-		recs, err = eng.RecommendContext(ctx, c, neighbors)
-	}
-	if err == nil && len(recs) > 0 {
-		if o := se.observer(); o != nil {
-			o.ObserveServed(c.Market, c, recs)
-		}
-	}
-	return recs, err
+	return res.Recommendations, res.Err
 }
 
 // RecommendBatch answers a multi-market batch in one generation: items
 // group by market, each market's sub-batch runs as one Engine fan-out,
-// and the markets recommend concurrently. Every item's result lands in
-// its request-order slot; routing failures (unknown market, untrained
-// shard) are per-item errors, exactly like engine item errors.
+// and up to streamAhead markets recommend concurrently. Every item's
+// result lands in its request-order slot; routing failures (unknown
+// market, untrained shard) are per-item errors, exactly like engine item
+// errors.
 func (se *ShardedEngine) RecommendBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	st, err := se.acquire()
+	results := make([]BatchResult, len(items))
+	err := se.serve(ctx, items, max(len(items), 1), func(i int, r BatchResult) { results[i] = r })
 	if err != nil {
 		return nil, err
-	}
-	defer st.release()
-	results := make([]BatchResult, len(items))
-	// With the cache on, each item is looked up first; repeat keys within
-	// the batch compute once (the first occurrence leads, the rest copy).
-	var keys []string // per item: its cache key, "" when not computing
-	var dupOf []int   // per item: index of the batch-local leader, or -1
-	var leaders map[string]int
-	if se.cache != nil {
-		keys = make([]string, len(items))
-		dupOf = make([]int, len(items))
-		leaders = make(map[string]int, len(items))
-	}
-	groups := make(map[int][]int)
-	var markets []int
-	for i := range items {
-		if _, err := st.shardFor(items[i].Carrier); err != nil {
-			results[i].Err = err
-			continue
-		}
-		if se.cache != nil {
-			dupOf[i] = -1
-			kb := keyBufs.Get().(*[]byte)
-			*kb = appendCacheKey((*kb)[:0], st.gen, items[i].Carrier, items[i].Neighbors)
-			if recs, ok := se.cache.get(*kb); ok {
-				se.cache.countHit()
-				results[i].Recommendations = recs
-				keyBufs.Put(kb)
-				continue
-			}
-			ks := string(*kb)
-			keyBufs.Put(kb)
-			if lead, seen := leaders[ks]; seen {
-				dupOf[i] = lead
-				continue
-			}
-			leaders[ks] = i
-			keys[i] = ks
-		}
-		m := items[i].Carrier.Market
-		if _, seen := groups[m]; !seen {
-			markets = append(markets, m)
-		}
-		groups[m] = append(groups[m], i)
-	}
-	var wg sync.WaitGroup
-	for _, m := range markets {
-		idx := groups[m]
-		sub := make([]BatchItem, len(idx))
-		for j, i := range idx {
-			sub[j] = items[i]
-		}
-		wg.Add(1)
-		go func(eng *Engine, sub []BatchItem, idx []int) {
-			defer wg.Done()
-			res, err := eng.RecommendBatch(ctx, sub)
-			for j, i := range idx {
-				if err != nil {
-					results[i].Err = err
-					continue
-				}
-				results[i] = res[j]
-			}
-		}(st.shards[m], sub, idx)
-	}
-	wg.Wait()
-	if se.cache != nil {
-		for i := range items {
-			if keys[i] == "" {
-				continue
-			}
-			se.cache.countMiss()
-			if results[i].Err == nil {
-				se.cache.put(keys[i], results[i].Recommendations)
-			}
-		}
-		for i := range items {
-			if dupOf[i] >= 0 {
-				se.cache.countShared()
-				results[i] = results[dupOf[i]]
-			}
-		}
-	}
-	if o := se.observer(); o != nil {
-		for i := range results {
-			if results[i].Err == nil && len(results[i].Recommendations) > 0 {
-				o.ObserveServed(items[i].Carrier.Market, items[i].Carrier, results[i].Recommendations)
-			}
-		}
 	}
 	return results, nil
 }
@@ -374,108 +275,187 @@ func (se *ShardedEngine) RecommendBatch(ctx context.Context, items []BatchItem) 
 // in strict request order as it becomes available, without waiting for
 // the whole batch — the engine side of NDJSON batch streaming. Items are
 // planned into per-market chunks of chunk items (0 means the default
-// chunk size); chunks launch lazily, at most streamAhead in flight, so
-// early results emit while the tail of a 10K-carrier sweep has not even
-// started. emit runs on the calling goroutine; a slow consumer simply
-// slows the launch window down (backpressure), it never reorders output.
+// chunk size), so early results emit while the tail of a 10K-carrier
+// sweep has not even started. emit runs on the calling goroutine; a slow
+// consumer delays later lines, it never reorders output.
 func (se *ShardedEngine) RecommendStream(ctx context.Context, items []BatchItem, chunk int, emit func(i int, res BatchResult)) error {
 	if chunk <= 0 {
 		chunk = defaultStreamChunk
 	}
+	return se.serve(ctx, items, chunk, emit)
+}
+
+// servePlan is the pooled per-call state of serve: a copy of the items
+// (computing goroutines read it, so the caller's slice never escapes),
+// one slot per item, and the chunks the misses compute in.
+type servePlan struct {
+	items  []BatchItem
+	slots  []serveSlot
+	chunks []serveChunk
+	open   []int // per market: 1 + index of its open chunk, 0 for none
+}
+
+// serveSlot is one item's progress through serve.
+type serveSlot struct {
+	eng   *Engine
+	chunk int     // index of the chunk computing the item, -1 for none
+	fl    *flight // the key's in-flight computation on a cache miss
+	res   BatchResult
+}
+
+// serveChunk is one per-market Engine.RecommendBatch call over idx.
+type serveChunk struct {
+	eng  *Engine
+	idx  []int
+	done chan struct{}
+}
+
+var servePlans = sync.Pool{New: func() any { return new(servePlan) }}
+
+// serve is the one serving core behind RecommendContext, RecommendBatch
+// and RecommendStream. It pins the serving generation and routes every
+// item to its market shard, answers cache hits, and joins every repeated
+// key — within the call or across concurrent calls — to one in-flight
+// computation (recCache.lookup). The remaining items compute in
+// per-market chunks of at most chunk items, launched in request order
+// with at most streamAhead in flight; each result goes to emit on the
+// calling goroutine, in request order, as soon as it is ready.
+func (se *ShardedEngine) serve(ctx context.Context, items []BatchItem, chunk int, emit func(i int, res BatchResult)) error {
 	st, err := se.acquire()
 	if err != nil {
 		return err
 	}
 	defer st.release()
-
-	type chunkT struct {
-		eng  *Engine
-		idx  []int
-		done chan struct{}
-	}
-	results := make([]BatchResult, len(items))
-	chunkOf := make([]*chunkT, len(items))
-	var chunks []*chunkT
-	var keys []string // per item: cache key to fill after its chunk lands
-	if se.cache != nil {
-		keys = make([]string, len(items))
-	}
-	open := make(map[int]*chunkT)
-	for i := range items {
-		eng, err := st.shardFor(items[i].Carrier)
-		if err != nil {
-			results[i].Err = err // emitted in order with the rest
+	p := servePlans.Get().(*servePlan)
+	defer p.recycle()
+	p.items = append(p.items[:0], items...)
+	p.slots = slices.Grow(p.slots[:0], len(items))[:len(items)]
+	p.open = slices.Grow(p.open[:0], len(st.shards))[:len(st.shards)]
+	clear(p.open)
+	for i := range p.slots {
+		s := &p.slots[i]
+		s.chunk = -1
+		c := p.items[i].Carrier
+		s.eng, s.res.Err = st.shardFor(c)
+		if s.res.Err != nil {
 			continue
 		}
 		if se.cache != nil {
-			kb := keyBufs.Get().(*[]byte)
-			*kb = appendCacheKey((*kb)[:0], st.gen, items[i].Carrier, items[i].Neighbors)
-			if recs, ok := se.cache.get(*kb); ok {
-				// A hit skips chunk planning entirely: the item emits as
-				// soon as the emitter reaches it, ahead of any compute.
-				se.cache.countHit()
-				results[i].Recommendations = recs
-				keyBufs.Put(kb)
-				continue
+			var lead bool
+			if s.res.Recommendations, s.fl, lead = se.lookup(st.gen, &p.items[i]); !lead {
+				continue // a hit, or joined another computation of the key
 			}
-			keys[i] = string(*kb)
-			keyBufs.Put(kb)
 		}
-		m := items[i].Carrier.Market
-		c := open[m]
-		if c == nil || len(c.idx) >= chunk {
-			c = &chunkT{eng: eng, done: make(chan struct{})}
-			open[m] = c
-			chunks = append(chunks, c)
+		k := p.open[c.Market] - 1
+		if k < 0 || len(p.chunks[k].idx) >= chunk {
+			k = len(p.chunks)
+			p.chunks = append(p.chunks, serveChunk{eng: s.eng, done: make(chan struct{})})
+			p.open[c.Market] = k + 1
 		}
-		c.idx = append(c.idx, i)
-		chunkOf[i] = c
+		p.chunks[k].idx = append(p.chunks[k].idx, i)
+		s.chunk = k
 	}
-
-	// Launcher: start chunks in planning order, never more than
-	// streamAhead in flight. Acquiring the slot before the goroutine
-	// starts keeps the launch order deterministic.
-	sem := make(chan struct{}, streamAhead)
-	go func() {
-		for _, c := range chunks {
-			sem <- struct{}{}
-			go func(c *chunkT) {
-				defer func() { <-sem }()
-				defer close(c.done)
-				sub := make([]BatchItem, len(c.idx))
-				for j, i := range c.idx {
-					sub[j] = items[i]
-				}
-				res, err := c.eng.RecommendBatch(ctx, sub)
-				for j, i := range c.idx {
-					if err != nil {
-						results[i].Err = err
-						continue
-					}
-					results[i] = res[j]
-				}
-			}(c)
-		}
-	}()
-
-	// Emitter: strict request order, each item as soon as its chunk lands.
-	// Cache hits (no chunk) emit immediately; computed items are stored
-	// under their key here, once their chunk delivers.
+	if len(p.chunks) > 0 {
+		se.launch(ctx, p)
+	}
 	o := se.observer()
-	for i := range items {
-		if c := chunkOf[i]; c != nil {
-			<-c.done
-			if se.cache != nil && keys[i] != "" {
-				se.cache.countMiss()
-				if results[i].Err == nil {
-					se.cache.put(keys[i], results[i].Recommendations)
-				}
-			}
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.chunk >= 0 {
+			<-p.chunks[s.chunk].done
+		} else if s.fl != nil {
+			se.join(ctx, st, p, i)
 		}
-		if o != nil && results[i].Err == nil && len(results[i].Recommendations) > 0 {
-			o.ObserveServed(items[i].Carrier.Market, items[i].Carrier, results[i].Recommendations)
+		if o != nil && s.res.Err == nil && len(s.res.Recommendations) > 0 {
+			o.ObserveServed(p.items[i].Carrier.Market, p.items[i].Carrier, s.res.Recommendations)
 		}
-		emit(i, results[i])
+		emit(i, s.res)
 	}
 	return nil
+}
+
+// lookup builds an item's cache key in generation gen and looks it up
+// (recCache.lookup).
+func (se *ShardedEngine) lookup(gen int64, it *BatchItem) ([]Recommendation, *flight, bool) {
+	kb := keyBufs.Get().(*[]byte)
+	*kb = appendCacheKey((*kb)[:0], gen, it.Carrier, it.Neighbors)
+	recs, fl, lead := se.cache.lookup(*kb)
+	keyBufs.Put(kb)
+	return recs, fl, lead
+}
+
+// join settles an item that joined another computation of its key: it
+// shares the leader's answer, or, when the leader failed, looks the key up
+// again and computes it itself if it leads now — so one cancelled request
+// cannot poison the requests that piled up behind it.
+func (se *ShardedEngine) join(ctx context.Context, st *shardState, p *servePlan, i int) {
+	s := &p.slots[i]
+	for s.fl != nil {
+		<-s.fl.done
+		if s.fl.err == nil {
+			se.cache.countShared()
+			s.res = BatchResult{Recommendations: s.fl.recs}
+			return
+		}
+		var lead bool
+		if s.res.Recommendations, s.fl, lead = se.lookup(st.gen, &p.items[i]); lead {
+			se.compute(ctx, p, s.eng, []int{i})
+			return
+		}
+	}
+}
+
+// launch starts the plan's chunks in planning order, never more than
+// streamAhead in flight. Acquiring the slot before the goroutine starts
+// keeps the launch order deterministic. The launcher reads only its own
+// copy of the chunk list, so it never touches the plan after the last
+// chunk closes and serve recycles it.
+func (se *ShardedEngine) launch(ctx context.Context, p *servePlan) {
+	chunks := p.chunks
+	sem := make(chan struct{}, streamAhead)
+	go func() {
+		for k := range chunks {
+			sem <- struct{}{}
+			go func(c *serveChunk) {
+				defer func() { <-sem }()
+				defer close(c.done)
+				se.compute(ctx, p, c.eng, c.idx)
+			}(&chunks[k])
+		}
+	}()
+}
+
+// compute recommends the items idx of the plan in one Engine fan-out and
+// settles their slots: with the cache on, each one counts a miss, and an
+// item leading its key's flight finishes it (caching a success).
+func (se *ShardedEngine) compute(ctx context.Context, p *servePlan, eng *Engine, idx []int) {
+	sub := make([]BatchItem, len(idx))
+	for j, i := range idx {
+		sub[j] = p.items[i]
+	}
+	res, err := eng.RecommendBatch(ctx, sub)
+	for j, i := range idx {
+		s := &p.slots[i]
+		if err != nil {
+			s.res = BatchResult{Err: err}
+		} else {
+			s.res = res[j]
+		}
+		if se.cache != nil {
+			se.cache.countMiss()
+			if s.fl != nil {
+				se.cache.finish(s.fl, s.res.Recommendations, s.res.Err)
+			}
+		}
+	}
+}
+
+// recycle clears the plan (no retained pointers) and returns it to the
+// pool. serve calls it only after every chunk has closed.
+func (p *servePlan) recycle() {
+	clear(p.items)
+	clear(p.slots)
+	clear(p.chunks)
+	p.items, p.slots, p.chunks = p.items[:0], p.slots[:0], p.chunks[:0]
+	servePlans.Put(p)
 }

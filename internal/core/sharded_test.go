@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"auric/internal/dataset"
+	"auric/internal/geo"
 	"auric/internal/learn"
 	"auric/internal/lte"
 	"auric/internal/netsim"
@@ -320,5 +321,183 @@ func TestShardedRouting(t *testing.T) {
 	}
 	if len(sizes) != 2 || sum != len(w.Net.Carriers) {
 		t.Errorf("shard sizes %v do not cover the %d carriers", sizes, len(w.Net.Carriers))
+	}
+}
+
+// servedCounter is an Observer that counts ObserveServed calls per carrier.
+type servedCounter struct {
+	mu     sync.Mutex
+	served map[lte.CarrierID]int
+}
+
+func (o *servedCounter) ObserveLoad(int64, *lte.Network, *geo.Graph, *lte.Config)           {}
+func (o *servedCounter) ObserveApply(int64, *lte.Network, []lte.CarrierID, []lte.CarrierID) {}
+func (o *servedCounter) ObserveServed(_ int, c *lte.Carrier, _ []Recommendation) {
+	o.mu.Lock()
+	o.served[c.ID]++
+	o.mu.Unlock()
+}
+
+// TestServeEntryPointParity runs the same items — two distinct carriers,
+// one of them repeated, and a carrier whose market has no trained shard —
+// through each serving entry point of a fresh cached engine, twice (cold,
+// then warm). Every entry point must return the same results, per-item
+// errors included, and report the same ObserveServed calls; the batch and
+// the stream must also agree on the cache accounting, computing the
+// repeated carrier once and sharing it with its repeat.
+func TestServeEntryPointParity(t *testing.T) {
+	w := netsim.Generate(netsim.Options{Seed: 11, Markets: 2, ENodeBsPerMarket: 6})
+	empty := len(w.Net.Markets)
+	w.Net.Markets = append(w.Net.Markets, lte.Market{ID: empty, Name: "greenfield", Timezone: "Pacific"})
+	ghost := w.Net.Carriers[0]
+	ghost.Market = empty
+	a, b := &w.Net.Carriers[3], &w.Net.Carriers[len(w.Net.Carriers)-1]
+	items := []BatchItem{
+		{Carrier: a, Neighbors: w.X2.CarrierNeighbors(a.ID)},
+		{Carrier: b, Neighbors: w.X2.CarrierNeighbors(b.ID)},
+		{Carrier: a, Neighbors: w.X2.CarrierNeighbors(a.ID)},
+		{Carrier: &ghost},
+	}
+
+	entries := []struct {
+		name string
+		run  func(se *ShardedEngine) []BatchResult
+	}{
+		{"context", func(se *ShardedEngine) []BatchResult {
+			out := make([]BatchResult, len(items))
+			for i, it := range items {
+				out[i].Recommendations, out[i].Err = se.RecommendContext(context.Background(), it.Carrier, it.Neighbors)
+			}
+			return out
+		}},
+		{"batch", func(se *ShardedEngine) []BatchResult {
+			out, err := se.RecommendBatch(context.Background(), items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"stream", func(se *ShardedEngine) []BatchResult {
+			out := make([]BatchResult, len(items))
+			if err := se.RecommendStream(context.Background(), items, 1, func(i int, res BatchResult) {
+				out[i] = res
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+	}
+	var (
+		wantResults [2][]BatchResult
+		wantServed  map[lte.CarrierID]int
+		stats       = map[string]CacheStats{}
+	)
+	for _, ep := range entries {
+		se := NewSharded(w.Schema, Options{Local: true, Workers: 1, CacheEntries: 64})
+		counter := &servedCounter{served: map[lte.CarrierID]int{}}
+		se.SetObserver(counter)
+		if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+			t.Fatal(err)
+		}
+		before := se.CacheStats()
+		for pass := range wantResults {
+			got := ep.run(se)
+			if got[3].Err == nil {
+				t.Fatalf("%s pass %d: carrier of an untrained market served without error", ep.name, pass)
+			}
+			if wantResults[pass] == nil {
+				wantResults[pass] = got
+			} else if !reflect.DeepEqual(got, wantResults[pass]) {
+				t.Errorf("%s pass %d: results differ from %s", ep.name, pass, entries[0].name)
+			}
+		}
+		if !reflect.DeepEqual(wantResults[0], wantResults[1]) {
+			t.Errorf("%s: warm pass differs from the cold pass", ep.name)
+		}
+		if wantServed == nil {
+			wantServed = counter.served
+		} else if !reflect.DeepEqual(counter.served, wantServed) {
+			t.Errorf("%s: ObserveServed calls %v, want %v", ep.name, counter.served, wantServed)
+		}
+		after := se.CacheStats()
+		stats[ep.name] = CacheStats{
+			Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+			SingleflightShared: after.SingleflightShared - before.SingleflightShared,
+			Evictions:          after.Evictions - before.Evictions,
+			Invalidations:      after.Invalidations - before.Invalidations,
+			Entries:            after.Entries - before.Entries,
+		}
+	}
+	if want := (map[lte.CarrierID]int{a.ID: 4, b.ID: 2}); !reflect.DeepEqual(wantServed, want) {
+		t.Errorf("ObserveServed calls %v, want %v", wantServed, want)
+	}
+	if stats["batch"] != stats["stream"] {
+		t.Errorf("cache deltas differ: batch %+v, stream %+v", stats["batch"], stats["stream"])
+	}
+	if st := stats["stream"]; st.Misses != 2 || st.SingleflightShared != 1 || st.Hits != 3 {
+		t.Errorf("stream cache delta %+v, want 2 misses, 1 shared, 3 hits", st)
+	}
+}
+
+// TestServeConcurrentCollapse races all three entry points over the same
+// keys on a cold cache: every distinct key must compute exactly once —
+// repeats within a call and across concurrent calls join one flight — and
+// every answer must equal the uncached engine's.
+func TestServeConcurrentCollapse(t *testing.T) {
+	w, cached, plain := cachedPair(t, 2, 64)
+	var items []BatchItem
+	for _, id := range []lte.CarrierID{4, 9, 4, lte.CarrierID(len(w.Net.Carriers) - 1), 9} {
+		items = append(items, BatchItem{Carrier: &w.Net.Carriers[id], Neighbors: w.X2.CarrierNeighbors(id)})
+	}
+	want, err := plain.RecommendBatch(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(who string, got []BatchResult) {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results differ from the uncached engine", who)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 9; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			switch g % 3 {
+			case 0:
+				got := make([]BatchResult, len(items))
+				for i, it := range items {
+					got[i].Recommendations, got[i].Err = cached.Recommend(it.Carrier, it.Neighbors)
+				}
+				check("context", got)
+			case 1:
+				got, err := cached.RecommendBatch(context.Background(), items)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check("batch", got)
+			case 2:
+				got := make([]BatchResult, len(items))
+				if err := cached.RecommendStream(context.Background(), items, 1, func(i int, res BatchResult) {
+					got[i] = res
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				check("stream", got)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	st := cached.CacheStats()
+	if st.Misses != 3 {
+		t.Errorf("misses = %d, want 3 (one per distinct key)", st.Misses)
+	}
+	if total := st.Hits + st.Misses + st.SingleflightShared; total != uint64(9*len(items)) {
+		t.Errorf("hits+misses+shared = %d, want %d", total, 9*len(items))
 	}
 }

@@ -104,9 +104,6 @@ func NewServer(schema *paramspec.Schema, store *lte.Config, cfg Config) *Server 
 	}
 }
 
-// AllowUnlockedSets disables lock enforcement (used by tests).
-func (s *Server) AllowUnlockedSets() { s.cfg.EnforceLock = false }
-
 // Listen starts serving on addr ("127.0.0.1:0" for an ephemeral port) and
 // returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {

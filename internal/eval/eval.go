@@ -75,59 +75,17 @@ type Mismatch struct {
 // k-fold cross-validation. When onMismatch is non-nil it receives every
 // disagreement.
 func CrossValidate(t *dataset.Table, l learn.Learner, opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.MaxSamples > 0 {
-		t = t.Sample(opts.MaxSamples, opts.Seed)
-	}
-	var res Result
-	folds, ok := safeFolds(t, opts)
-	if !ok {
-		return res, nil // too few carriers to validate
-	}
-	for f := range folds {
-		train, test := dataset.TrainTest(folds, f)
-		m, err := l.Fit(t.Subset(train))
-		if err != nil {
-			return res, err
-		}
-		// Scoring consumes only the label, so models exposing the
-		// explanation-free fast path skip the Prediction assembly.
-		lm, okLabel := m.(learn.LabelModel)
-		for _, i := range test {
-			var label string
-			if okLabel {
-				label = lm.PredictLabel(t.Row(i))
-			} else {
-				label = m.Predict(t.Row(i)).Label
-			}
-			res.Total++
-			if label == t.Labels[i] {
-				res.Correct++
-			} else if onMismatch != nil {
-				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: t.Labels[i]})
-			}
-		}
-	}
-	return res, nil
+	return crossValidate(t, l, opts, nil, onMismatch)
 }
 
 // CrossValidateLocal measures the accuracy of a geographically scoped
 // learner: models fit exactly as in CrossValidate, but each prediction
 // votes only among training carriers within opts.Hops X2 hops of the test
-// carrier (Sec 3.3/4.2). The learner's models must implement
-// learn.ScopedModel.
+// carrier (Sec 3.3/4.2). Only learn.CodesModel models can scope; the
+// rest predict as in CrossValidate.
 func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 *geo.Graph,
 	opts CVOptions, onMismatch func(Mismatch)) (Result, error) {
-
-	opts = opts.withDefaults()
-	if opts.MaxSamples > 0 {
-		t = t.Sample(opts.MaxSamples, opts.Seed)
-	}
-	var res Result
-	folds, ok := safeFolds(t, opts)
-	if !ok {
-		return res, nil
-	}
+	hops := opts.withDefaults().Hops
 	// Neighborhood id lists (self excluded) are reused across folds and
 	// parameters; compute lazily per test carrier.
 	hoodCache := make(map[lte.CarrierID][]lte.CarrierID)
@@ -135,7 +93,7 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		if h, ok := hoodCache[c]; ok {
 			return h
 		}
-		near := x2.CarriersWithinHops(net, c, opts.Hops)
+		near := x2.CarriersWithinHops(net, c, hops)
 		h := make([]lte.CarrierID, 0, len(near))
 		for _, id := range near {
 			if id != c {
@@ -145,12 +103,30 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		hoodCache[c] = h
 		return h
 	}
+	return crossValidate(t, l, opts, hood, onMismatch)
+}
+
+// crossValidate is the shared fold loop. With a non-nil hood, a
+// learn.CodesModel predicts each test row over the scope of the row's
+// carrier neighborhood; every other model predicts network-wide, scoring
+// by label alone through learn.LabelModel when it can.
+func crossValidate(t *dataset.Table, l learn.Learner, opts CVOptions,
+	hood func(lte.CarrierID) []lte.CarrierID, onMismatch func(Mismatch)) (Result, error) {
+	opts = opts.withDefaults()
+	if opts.MaxSamples > 0 {
+		t = t.Sample(opts.MaxSamples, opts.Seed)
+	}
+	var res Result
+	folds, ok := safeFolds(t, opts)
+	if !ok {
+		return res, nil // too few carriers to validate
+	}
 	// Per-prediction scratch: learners consume the query row within the
 	// Predict call, so one row buffer (and one code buffer for models
 	// that accept the table's interned codes directly) serves every test
 	// row.
 	rowBuf := make([]string, t.NumCols())
-	codeBuf := make([]int32, t.NumCols())
+	codeBuf := make([]int32, 0, t.NumCols())
 	row := func(i int) []string {
 		for c := range rowBuf {
 			rowBuf[c] = t.At(i, c)
@@ -163,58 +139,45 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 		if err != nil {
 			return res, err
 		}
-		sm, okScoped := m.(learn.ScopedModel)
-		ss, okScoper := m.(learn.SiteScoper)
+		cm, okCodes := m.(learn.CodesModel)
+		okCodes = okCodes && hood != nil
 		lm, okLabel := m.(learn.LabelModel)
 		// A fold model trained on a Subset of t shares t's columnar base,
 		// so the table's stored codes are already the model's encoding —
 		// no per-prediction string re-encode.
-		cm, okCodes := m.(learn.CodesModel)
-		okCodes = okCodes && cm.EncodesTable(t)
+		tableCodes := okCodes && cm.EncodesTable(t)
 		// Folds are grouped by carrier, so a carrier's pair-wise test rows
 		// arrive together and share one precomputed scope per fold model.
 		scopeCache := make(map[lte.CarrierID]learn.Scope)
 		for _, i := range test {
-			var p learn.Prediction
+			var label string
 			switch {
-			case okScoper:
+			case okCodes:
 				self := t.Sites[i].From
 				sc, ok := scopeCache[self]
 				if !ok {
-					sc = ss.ScopeFrom(hood(self))
+					sc = cm.ScopeFrom(hood(self))
 					scopeCache[self] = sc
 				}
-				if okCodes {
-					for c := range codeBuf {
-						codeBuf[c] = t.Code(i, c)
+				codes := codeBuf[:0]
+				if tableCodes {
+					for c := 0; c < t.NumCols(); c++ {
+						codes = append(codes, t.Code(i, c))
 					}
-					p = cm.PredictCodes(codeBuf, row(i), sc)
 				} else {
-					p = ss.PredictScope(row(i), sc)
+					codes = cm.AppendEncodeRow(codes, row(i))
 				}
-			case okScoped:
-				self := t.Sites[i].From
-				h := hood(self)
-				in := make(map[lte.CarrierID]bool, len(h))
-				for _, id := range h {
-					in[id] = true
-				}
-				p = sm.PredictScoped(row(i), func(s dataset.Site) bool {
-					return s.From != self && in[s.From]
-				})
+				label = cm.PredictCodes(codes, row(i), sc).Label
+			case okLabel:
+				label = lm.PredictLabel(row(i))
 			default:
-				// Unscoped models (tree, forest, ...) score by label alone.
-				if okLabel {
-					p.Label = lm.PredictLabel(row(i))
-				} else {
-					p = m.Predict(row(i))
-				}
+				label = m.Predict(row(i)).Label
 			}
 			res.Total++
-			if p.Label == t.Labels[i] {
+			if label == t.Labels[i] {
 				res.Correct++
 			} else if onMismatch != nil {
-				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: p.Label, Current: t.Labels[i]})
+				onMismatch(Mismatch{Param: t.Param, Site: t.Sites[i], Predicted: label, Current: t.Labels[i]})
 			}
 		}
 	}

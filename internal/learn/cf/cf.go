@@ -483,8 +483,8 @@ func appendCode(b []byte, c int32) []byte {
 }
 
 // Model is a fitted collaborative-filtering model. After Fit returns, a
-// Model is immutable: Predict, PredictScoped, PredictScope and
-// PredictWeighted only read the fitted state (the training table, the
+// Model is immutable: Predict, PredictCodes, PredictScoped, PredictScope
+// and PredictWeighted only read the fitted state (the training table, the
 // dependency ordering, the match index, the posting lists and the
 // value-share tables) and draw their working storage from a shared
 // sync.Pool, so one Model is safe for concurrent use by any number of
@@ -605,11 +605,10 @@ func (m *Model) DependentColumnNames() []string {
 	return out
 }
 
-// DependentValues returns the query row's "name=value" pairs for the
-// dependent attributes, strongest association first — the evidence key the
-// audit log persists alongside each recommendation. Values seen in
-// training resolve to interned strings (no per-call concatenation);
-// unseen values fall back to building the pair.
+// DependentValues implements learn.CodesModel: the query row's
+// "name=value" pairs for the dependent attributes, strongest association
+// first. Values seen in training resolve to interned strings (no per-call
+// concatenation); unseen values fall back to building the pair.
 func (m *Model) DependentValues(row []string) []string {
 	m.depValsOnce.Do(m.buildDepVals)
 	out := make([]string, len(m.deps))
@@ -682,9 +681,8 @@ func (m *Model) EncodeRow(row []string) []int32 {
 	return m.AppendEncodeRow(make([]int32, 0, m.t.NumCols()), row)
 }
 
-// AppendEncodeRow appends the row's full per-column encoding to dst and
-// returns the extended slice — the allocation-free form of EncodeRow for
-// callers that batch encodings into a reused arena.
+// AppendEncodeRow implements learn.CodesModel: the allocation-free form of
+// EncodeRow for callers that batch encodings into a reused arena.
 func (m *Model) AppendEncodeRow(dst []int32, row []string) []int32 {
 	for c := 0; c < m.t.NumCols(); c++ {
 		dst = append(dst, m.t.Dict(c).Code(row[c]))
@@ -766,9 +764,11 @@ func (m *Model) scopeRows(sc learn.Scope) (rows []int32, scoped bool) {
 	return s.rows, true
 }
 
-// PredictScope implements learn.SiteScoper: a scoped prediction over a
-// precomputed Scope, byte-identical to PredictScoped with the equivalent
-// predicate but with the neighborhood intersected as a sorted row list.
+// PredictScope is PredictCodes over the row's own encoding: a scoped
+// prediction over a precomputed Scope, byte-identical to PredictScoped with
+// the equivalent predicate but with the neighborhood intersected as a
+// sorted row list. The equivalence tests use it as the string-row
+// reference of the serving path.
 func (m *Model) PredictScope(row []string, sc learn.Scope) learn.Prediction {
 	rows, scoped := m.scopeRows(sc)
 	ps := predictScratchPool.Get().(*predictScratch)
@@ -782,9 +782,9 @@ func (m *Model) Predict(row []string) learn.Prediction {
 	return m.PredictWeighted(row, nil, nil)
 }
 
-// PredictScoped implements learn.ScopedModel: the voting population is
-// restricted to training samples whose site is allowed — the paper's
-// local learner uses the 1-hop X2 neighborhood (Sec 3.3).
+// PredictScoped restricts the voting population to training samples whose
+// site is allowed — the paper's local learner uses the 1-hop X2
+// neighborhood (Sec 3.3).
 //
 // Local evidence is used only when it is decisive at a relaxation level at
 // least as specific as the one the network-wide vote would settle on:
@@ -799,7 +799,7 @@ func (m *Model) PredictScoped(row []string, allowed func(dataset.Site) bool) lea
 	return m.PredictWeighted(row, allowed, nil)
 }
 
-// PredictWeighted implements learn.WeightedModel: votes are weighted by
+// PredictWeighted is PredictScoped with votes weighted by
 // weight(site) — the Sec 6 service-performance feedback loop ("provide
 // higher weights to configuration changes that have improved service
 // performance in the past"). Weights <= 0 exclude a site; a nil weight

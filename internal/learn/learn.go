@@ -58,21 +58,8 @@ type Diag struct {
 	Dropped string
 }
 
-// Reset zeroes the diagnostics in place, the form pooled per-request
-// scratch uses to recycle a Diag without carrying stale evidence forward.
-func (d *Diag) Reset() { *d = Diag{} }
-
-// Clone returns a value copy of the diagnostics. Diag holds no slices,
-// so the copy is fully independent; the method exists so call sites that
-// snapshot evidence (caches, audit trails, equivalence tests) say so
-// explicitly rather than relying on implicit struct assignment.
-func (d Diag) Clone() Diag { return d }
-
-// Reset zeroes the prediction in place for pooled reuse.
-func (p *Prediction) Reset() { *p = Prediction{} }
-
 // Model is a fitted per-parameter dependency model. Fitted models must be
-// read-only: Predict (and the scoped/weighted variants) may not mutate
+// read-only: Predict (and the CodesModel variants) may not mutate
 // model state, so one model can serve concurrent predictions — the
 // engine's parallel recommendation path calls Predict on the same model
 // from multiple goroutines.
@@ -93,16 +80,6 @@ type LabelModel interface {
 	PredictLabel(row []string) string
 }
 
-// ScopedModel is implemented by models that can restrict the evidence used
-// for one prediction to a subset of training sites — the geographic
-// scoping of the paper's local learner (Sec 3.3).
-type ScopedModel interface {
-	Model
-	// PredictScoped predicts using only training samples whose site is
-	// allowed. A nil allowed behaves like Predict.
-	PredictScoped(row []string, allowed func(dataset.Site) bool) Prediction
-}
-
 // Scope is a precomputed voting-population restriction built by a
 // SiteScoper: an immutable handle over the sorted training-row list of an
 // allowed site set. A Scope is bound to the model that built it and is
@@ -112,41 +89,45 @@ type Scope interface {
 	NumRows() int
 }
 
-// SiteScoper is implemented by scoped models that can precompute the
-// evidence restriction for a set of allowed From carriers. Precomputing
-// turns the per-candidate allowed(site) callback of PredictScoped into a
+// SiteScoper is implemented by models that can restrict the evidence of a
+// prediction to a set of training carriers — the geographic scoping of the
+// paper's local learner (Sec 3.3). The restriction is precomputed into a
 // sorted row list that the match machinery intersects like any other
-// posting list — the hot shape of the paper's 1-hop X2 neighborhood vote
-// (Sec 3.3).
+// posting list, the hot shape of the 1-hop X2 neighborhood vote.
 type SiteScoper interface {
-	ScopedModel
 	// ScopeFrom precomputes the scope admitting exactly the training rows
-	// whose Site.From is one of ids (duplicates in ids are harmless). The
-	// result is equivalent to a PredictScoped predicate testing From
-	// membership in ids.
+	// whose Site.From is one of ids (duplicates in ids are harmless).
 	ScopeFrom(ids []lte.CarrierID) Scope
-	// PredictScope predicts with a precomputed scope from the same model's
-	// ScopeFrom. A nil scope behaves like Predict.
-	PredictScope(row []string, sc Scope) Prediction
 }
 
-// CodesModel is implemented by scoped models that accept pre-encoded query
-// rows. Batch callers encode each attribute string through the column
-// dictionaries once and reuse the codes across every model sharing the
-// same columnar base — the per-batch amortization of Engine.RecommendBatch.
+// CodesModel is the serving contract: a model that predicts from
+// dictionary-encoded query rows, optionally restricted to a precomputed
+// Scope. Callers encode each attribute vector once through one model and
+// reuse the codes across every model sharing the same columnar base — the
+// per-batch amortization of core.Engine's recommend path. The engine
+// serves geographically scoped (local) recommendations only through this
+// contract; other models answer through plain Predict.
 type CodesModel interface {
-	ScopedModel
+	Model
+	SiteScoper
 	// SharesEncoding reports whether o decodes attribute codes identically
 	// to this model (both fitted over the same columnar base).
 	SharesEncoding(o Model) bool
 	// EncodeRow translates a query row into the model's code space, one
 	// code per column (-1 for values never seen in training).
 	EncodeRow(row []string) []int32
+	// AppendEncodeRow appends EncodeRow(row) to dst and returns the
+	// extended slice, for callers that encode into a reused arena.
+	AppendEncodeRow(dst []int32, row []string) []int32
 	// PredictCodes predicts row given its precomputed encoding. codes must
 	// come from EncodeRow of a model sharing this model's encoding; row
-	// supplies the string values for explanations. sc may be nil, or a
-	// Scope from this model's ScopeFrom when it also implements SiteScoper.
+	// supplies the string values for explanations. sc is nil (the whole
+	// training population votes) or a Scope from this model's ScopeFrom.
 	PredictCodes(codes []int32, row []string, sc Scope) Prediction
+	// DependentValues returns the row's "name=value" pairs for the
+	// attributes the model matched on, strongest association first — the
+	// evidence key the audit log persists with each recommendation.
+	DependentValues(row []string) []string
 	// EncodesTable reports whether codes gathered from t's columns
 	// (Table.Code) are valid PredictCodes input — true when t shares the
 	// model's interned columnar base, so the table's stored codes equal
@@ -154,18 +135,6 @@ type CodesModel interface {
 	// use it to predict straight off the table without re-encoding
 	// strings.
 	EncodesTable(t *dataset.Table) bool
-}
-
-// WeightedModel is implemented by models whose votes can be weighted by
-// external evidence — the paper's Sec 6 direction of giving "higher
-// weights (in our voting approach) to configuration changes that have
-// improved service performance in the past". A nil weight behaves like
-// PredictScoped.
-type WeightedModel interface {
-	ScopedModel
-	// PredictWeighted predicts with per-training-site vote weights
-	// (weights <= 0 exclude the site).
-	PredictWeighted(row []string, allowed func(dataset.Site) bool, weight func(dataset.Site) float64) Prediction
 }
 
 // Learner fits dependency models from learning tables.

@@ -81,9 +81,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// NumCategories reports how many functional categories exist.
-func NumCategories() int { return int(numCategories) }
-
 // Param describes one range configuration parameter.
 type Param struct {
 	// Name is the vendor-style camelCase parameter name, unique within the

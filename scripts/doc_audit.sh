@@ -1,7 +1,8 @@
 #!/bin/sh
 # doc-audit (flags + routes + metrics): every auricd command-line flag,
 # HTTP route, and registered auric_* metric must be documented in
-# OPERATIONS.md. The flag and route lists are extracted from
+# OPERATIONS.md, and every row of its Flags table must name a flag auricd
+# still registers. The flag and route lists are extracted from
 # cmd/auricd/main.go, the metric list from every non-test Go source in
 # the repo — the registration calls are the single source of truth — so
 # adding a flag, route, or metric without touching the runbook fails
@@ -18,6 +19,15 @@ flags=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' "$src" | sort -u)
 for f in $flags; do
     grep -q -- "-$f" "$ops" || {
         echo "doc-audit: auricd flag -$f is not documented in $ops"; fail=1; }
+done
+
+# Stale flag rows: every "| `-name` |" row of the Flags table must be a
+# flag the source still registers.
+rows=$(sed -n 's/^| `-\([^`]*\)` |.*/\1/p' "$ops" | sort -u)
+[ -n "$rows" ] || { echo "doc-audit: extracted no flag rows from $ops (extraction broken?)"; exit 1; }
+for f in $rows; do
+    echo "$flags" | grep -qx -- "$f" || {
+        echo "doc-audit: $ops documents flag -$f, which $src does not register"; fail=1; }
 done
 
 # Routes: every route(...)/handle(...) registration plus the direct
