@@ -648,24 +648,26 @@ func (s *server) handleRecommendBatch(rw http.ResponseWriter, r *http.Request, b
 		itemOf = append(itemOf, i)
 	}
 	traceID := requestTraceID(r)
-	if wantsNDJSON(r) {
-		s.streamRecommendBatch(rw, r, entries, items, itemOf, traceID)
-		return
-	}
-	if len(items) > 0 {
-		results, err := s.engine.RecommendBatch(r.Context(), items)
-		if err != nil {
-			writeError(rw, http.StatusInternalServerError, err.Error())
-			return
-		}
-		for bi, res := range results {
-			e := &entries[itemOf[bi]]
-			if res.Err != nil {
-				e.err = res.Err.Error()
-				continue
-			}
+	// settle lands one item's result in its request-order entry.
+	settle := func(bi int, res auric.BatchResult) {
+		e := &entries[itemOf[bi]]
+		if res.Err != nil {
+			e.err = res.Err.Error()
+		} else {
 			e.recs = res.Recommendations
 			s.recordServed(items[bi].Carrier, e.recs, traceID)
+		}
+	}
+	if wantsNDJSON(r) {
+		s.streamRecommendBatch(rw, r, entries, items, itemOf, settle)
+		return
+	}
+	// One chunk of the whole batch: the buffered response is written once
+	// every item has settled.
+	if len(items) > 0 {
+		if err := s.engine.RecommendStream(r.Context(), items, len(items), settle); err != nil {
+			writeError(rw, http.StatusInternalServerError, err.Error())
+			return
 		}
 	}
 	writeRecommendJSON(rw, func(b []byte) ([]byte, error) {
@@ -679,7 +681,7 @@ func (s *server) handleRecommendBatch(rw http.ResponseWriter, r *http.Request, b
 // its shard. Per-item failures (resolution or engine) ride inline as
 // {"error": ...} lines and never terminate the stream; only a transport
 // failure can truncate it.
-func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, entries []batchSlot, items []auric.BatchItem, itemOf []int, traceID string) {
+func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, entries []batchSlot, items []auric.BatchItem, itemOf []int, settle func(int, auric.BatchResult)) {
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := rw.(http.Flusher)
 	// One pooled buffer serves every line of the stream; a line's
@@ -707,13 +709,7 @@ func (s *server) streamRecommendBatch(rw http.ResponseWriter, r *http.Request, e
 		// Resolution-failure entries queued before this item flush first,
 		// keeping the stream in request order.
 		writeUpTo(ri)
-		e := &entries[ri]
-		if res.Err != nil {
-			e.err = res.Err.Error()
-		} else {
-			e.recs = res.Recommendations
-			s.recordServed(items[bi].Carrier, e.recs, traceID)
-		}
+		settle(bi, res)
 		writeUpTo(ri + 1)
 	})
 	if err != nil {

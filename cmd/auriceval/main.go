@@ -342,11 +342,14 @@ func runTrace(e *env) error {
 	neighbors := e.w.X2.CarrierNeighbors(c.ID)
 	tr := trace.New(trace.Options{SampleRate: 1})
 	ctx, root := tr.StartRoot(context.Background(), "auriceval.recommend")
-	if _, err := engine.RecommendContext(ctx, c, neighbors); err != nil {
-		root.Finish()
+	res, err := engine.RecommendBatch(ctx, []core.BatchItem{{Carrier: c, Neighbors: neighbors}})
+	root.Finish()
+	if err == nil {
+		err = res[0].Err
+	}
+	if err != nil {
 		return err
 	}
-	root.Finish()
 	traces := tr.Traces()
 	if len(traces) == 0 {
 		return fmt.Errorf("trace: no trace recorded")

@@ -324,42 +324,27 @@ func runInProcess(o *options) (*report, error) {
 			pick := newPicker(o, g, len(w.Net.Carriers))
 			for i := g; time.Now().Before(deadline); i += o.batch {
 				t0 := time.Now()
-				if o.batch == 1 {
-					c := &w.Net.Carriers[pick.next(i)]
-					var neighbors []auric.CarrierID
+				items := make([]auric.BatchItem, o.batch)
+				for j := range items {
+					c := &w.Net.Carriers[pick.next(i+j)]
+					items[j] = auric.BatchItem{Carrier: c}
 					if o.pairwise {
-						neighbors = w.X2.CarrierNeighbors(c.ID)
+						items[j].Neighbors = w.X2.CarrierNeighbors(c.ID)
 					}
-					recs, err := engine.Recommend(c, neighbors)
-					if err != nil || len(recs) == 0 {
-						failures.Add(1)
-					} else {
-						st.note(recs)
-					}
-					carriers.Add(1)
-				} else {
-					items := make([]auric.BatchItem, o.batch)
-					for j := range items {
-						c := &w.Net.Carriers[pick.next(i+j)]
-						items[j] = auric.BatchItem{Carrier: c}
-						if o.pairwise {
-							items[j].Neighbors = w.X2.CarrierNeighbors(c.ID)
-						}
-					}
-					res, err := engine.RecommendBatch(ctx, items)
-					if err != nil {
-						failures.Add(int64(o.batch))
-					} else {
-						for _, r := range res {
-							if r.Err != nil || len(r.Recommendations) == 0 {
-								failures.Add(1)
-							} else {
-								st.note(r.Recommendations)
-							}
-						}
-					}
-					carriers.Add(int64(o.batch))
 				}
+				res, err := engine.RecommendBatch(ctx, items)
+				if err != nil {
+					failures.Add(int64(o.batch))
+				} else {
+					for _, r := range res {
+						if r.Err != nil || len(r.Recommendations) == 0 {
+							failures.Add(1)
+						} else {
+							st.note(r.Recommendations)
+						}
+					}
+				}
+				carriers.Add(int64(o.batch))
 				hist.Observe(time.Since(t0).Seconds())
 				requests.Add(1)
 			}

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,12 +57,11 @@ type Options struct {
 	// filtering with the paper's settings, the learner Auric ships with.
 	Learner learn.Learner
 	// Local enables geographic scoping: recommendations vote only among
-	// carriers within Hops X2 hops of the new carrier. Requires the
-	// learner's models to implement learn.CodesModel (CF does); otherwise
-	// every recommendation fails with a "cannot scope" error.
+	// carriers within one X2 hop of the new carrier (the paper's setting).
+	// Requires the learner's models to implement learn.CodesModel (CF
+	// does); otherwise every recommendation fails with a "cannot scope"
+	// error.
 	Local bool
-	// Hops is the scoping radius; zero means 1 (the paper's setting).
-	Hops int
 	// Vendor, when non-empty, restricts training to carriers of that
 	// vendor — the paper formulates the problem independently per vendor
 	// (Sec 2.2).
@@ -84,11 +84,6 @@ type Options struct {
 	// byte-identical to computed ones; a reload or live-ingest delta
 	// starts the cache cold. Zero disables caching.
 	CacheEntries int
-	// X2 configures the X2 graph rebuild ShardedEngine.Apply performs when
-	// a delta changes the inventory. It must match the options the serving
-	// graph was originally built with; the zero value is the geo package's
-	// defaults, which is what cmd/auricd and netsim use.
-	X2 geo.Options
 }
 
 // Engine learns and serves configuration recommendations.
@@ -116,14 +111,8 @@ func New(schema *paramspec.Schema, opts Options) *Engine {
 	if opts.Learner == nil {
 		opts.Learner = cf.New()
 	}
-	if opts.Hops <= 0 {
-		opts.Hops = 1
-	}
 	return &Engine{opts: opts, schema: schema}
 }
-
-// Schema returns the engine's parameter schema.
-func (e *Engine) Schema() *paramspec.Schema { return e.schema }
 
 // Train fits one dependency model per configuration parameter from the
 // network's current configuration. It must be called before Recommend.
@@ -143,7 +132,7 @@ func (e *Engine) Train(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) error {
 	}
 	b := dataset.NewBuilder(net, x2, keep)
 	models := make([]learn.Model, e.schema.Len())
-	err := pool.ForEachNTimed(e.opts.Workers, e.schema.Len(), trainParamSeconds, func(pi int) error {
+	err := pool.ForEachNCtx(context.TODO(), e.opts.Workers, e.schema.Len(), trainParamSeconds, func(_ context.Context, pi int) error {
 		t := b.Labeled(cfg, pi)
 		if e.opts.MaxSamples > 0 {
 			t = t.Sample(e.opts.MaxSamples, uint64(pi)+1)
@@ -261,26 +250,16 @@ type Recommendation struct {
 	Dependents []string
 }
 
-// Recommend produces recommendations for every parameter of a new carrier.
-// The carrier must reference an eNodeB of the trained network (it is
-// "ready for launch": physically integrated, locked, not yet carrying
-// traffic — Sec 5). neighbors lists the carrier's X2 neighbor carriers for
-// pair-wise parameters; pass nil to skip those.
+// Recommend produces recommendations for every parameter of a new carrier:
+// a RecommendBatch of one. The carrier must reference an eNodeB of the
+// trained network (it is "ready for launch": physically integrated,
+// locked, not yet carrying traffic — Sec 5). neighbors lists the carrier's
+// X2 neighbor carriers for pair-wise parameters; pass nil to skip those.
 func (e *Engine) Recommend(c *lte.Carrier, neighbors []lte.CarrierID) ([]Recommendation, error) {
-	return e.RecommendContext(context.Background(), c, neighbors)
-}
-
-// RecommendContext is Recommend with request plumbing: the per-parameter
-// fan-out stops dispatching when ctx is cancelled (a disconnected HTTP
-// client abandons the answer), and when ctx carries a sampled trace (see
-// internal/trace) the call records an "engine.recommend" span with one
-// annotated "recommend.param" child per (parameter, neighbor) job. With
-// a background context it behaves exactly like Recommend.
-func (e *Engine) RecommendContext(ctx context.Context, c *lte.Carrier, neighbors []lte.CarrierID) ([]Recommendation, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("core: engine not trained")
+	res, err := e.RecommendBatch(context.Background(), []BatchItem{{Carrier: c, Neighbors: neighbors}})
+	if err != nil {
+		return nil, err
 	}
-	res := e.recommendMany(ctx, []BatchItem{{Carrier: c, Neighbors: neighbors}})
 	return res[0].Recommendations, res[0].Err
 }
 
@@ -300,25 +279,7 @@ type BatchResult struct {
 	Err             error
 }
 
-// RecommendBatch recommends for many carriers in one fan-out over the
-// worker pool. Every item's result is byte-identical to a RecommendContext
-// call for the same carrier, and item failures are isolated: an unusable
-// item reports its error in its own slot without failing the batch.
-//
-// The batch amortizes per-request setup: each attribute vector is encoded
-// through the column dictionaries once (learn.CodesModel) and shared by
-// every model fitted over the same columnar base, and the per-worker
-// predict scratch pools stay hot across items. Tracing and metrics stay
-// per-carrier — one "engine.recommend" span and one latency observation
-// per item.
-func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("core: engine not trained")
-	}
-	return e.recommendMany(ctx, items), nil
-}
-
-// itemState is one batch item's planning state within recommendMany.
+// itemState is one batch item's planning state within RecommendBatch.
 type itemState struct {
 	ctx      context.Context
 	sp       *trace.Span
@@ -338,7 +299,7 @@ type recJob struct {
 	neighbor lte.CarrierID
 }
 
-// recScratch is the pooled planning storage of one recommendMany call:
+// recScratch is the pooled planning storage of one RecommendBatch call:
 // item states, the flattened job list, per-job error slots, and the
 // arenas attribute vectors and their encodings are appended into. Only
 // the output Recommendation slice escapes into results; everything here
@@ -374,12 +335,29 @@ func (sc *recScratch) encode(rep learn.CodesModel, row []string) []int32 {
 	return sc.codes[cb:len(sc.codes):len(sc.codes)]
 }
 
-// recommendMany is the shared core of RecommendContext and RecommendBatch:
-// it plans every item's (parameter, neighbor) jobs, flattens them into one
-// worker-pool fan-out, and reassembles per-item results. Each job writes
-// its preallocated slot and the fitted models are read-only, so the output
-// is byte-identical to the serial walk at any worker count.
-func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchResult {
+// RecommendBatch recommends for many carriers in one fan-out over the
+// worker pool. Every item's result is byte-identical to a Recommend call
+// for the same carrier, and item failures are isolated: an unusable item
+// reports its error in its own slot without failing the batch. The
+// fan-out stops dispatching when ctx is cancelled (a disconnected HTTP
+// client abandons the answer), and when ctx carries a sampled trace (see
+// internal/trace) every item records an "engine.recommend" span with one
+// annotated "recommend.param" child per (parameter, neighbor) job.
+//
+// The batch amortizes per-request setup: each attribute vector is encoded
+// through the column dictionaries once (learn.CodesModel) and shared by
+// every model fitted over the same columnar base, and the per-worker
+// predict scratch pools stay hot across items. Tracing and metrics stay
+// per-carrier — one "engine.recommend" span and one latency observation
+// per item.
+//
+// Each job writes its preallocated slot and the fitted models are
+// read-only, so the output is byte-identical to the serial walk at any
+// worker count.
+func (e *Engine) RecommendBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
+	if e.net == nil {
+		return nil, fmt.Errorf("core: engine not trained")
+	}
 	singular, pair := e.schema.Singular(), e.schema.PairWise()
 	sc := recScratchPool.Get().(*recScratch)
 	if cap(sc.states) < len(items) {
@@ -520,7 +498,7 @@ func (e *Engine) recommendMany(ctx context.Context, items []BatchItem) []BatchRe
 		recommendSeconds.ObserveExemplar(time.Since(st.start).Seconds(), exemplar)
 	}
 	putRecScratch(sc)
-	return results
+	return results, nil
 }
 
 // recommendOne predicts one parameter through the path install chose:
@@ -563,17 +541,12 @@ func (e *Engine) recommendOne(pi int, attrs []string, codes []int32, neighbor lt
 }
 
 // scopesFor builds, per parameter model, the voting scope of a new
-// carrier: the carriers within Hops X2 hops of its eNodeB, excluding the
+// carrier: the carriers within one X2 hop of its eNodeB, excluding the
 // carrier itself. Anchoring on the eNodeB (not the carrier id) also covers
 // new carriers that are not yet in the X2 graph: their eNodeB is.
 func (e *Engine) scopesFor(c *lte.Carrier) []learn.Scope {
-	near := e.x2.CarriersNearENodeB(e.net, c.ENodeB, e.opts.Hops)
-	ids := make([]lte.CarrierID, 0, len(near))
-	for _, id := range near {
-		if id != c.ID {
-			ids = append(ids, id)
-		}
-	}
+	ids := slices.DeleteFunc(e.x2.CarriersNearENodeB(e.net, c.ENodeB, 1),
+		func(id lte.CarrierID) bool { return id == c.ID })
 	scopes := make([]learn.Scope, len(e.codes))
 	for pi, m := range e.codes {
 		scopes[pi] = m.ScopeFrom(ids)

@@ -23,6 +23,16 @@ func trainedEngine(t *testing.T, opts Options) (*Engine, *netsim.World) {
 	return e, w
 }
 
+// recommendCtx recommends for one carrier under a request context: a
+// RecommendBatch of one.
+func recommendCtx(ctx context.Context, e *Engine, c *lte.Carrier, nbs []lte.CarrierID) ([]Recommendation, error) {
+	res, err := e.RecommendBatch(ctx, []BatchItem{{Carrier: c, Neighbors: nbs}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Recommendations, res[0].Err
+}
+
 func TestRecommendCoversAllParameters(t *testing.T) {
 	e, w := trainedEngine(t, Options{})
 	c := &w.Net.Carriers[10]
@@ -176,7 +186,7 @@ func TestRecommendContextTraced(t *testing.T) {
 
 	tr := trace.New(trace.Options{SampleRate: 1})
 	ctx, root := tr.StartRoot(context.Background(), "test")
-	recs, err := e.RecommendContext(ctx, c, nbs)
+	recs, err := recommendCtx(ctx, e, c, nbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestRecommendContextCancelled(t *testing.T) {
 	c := &w.Net.Carriers[3]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.RecommendContext(ctx, c, w.X2.CarrierNeighbors(c.ID)); err == nil {
+	if _, err := recommendCtx(ctx, e, c, w.X2.CarrierNeighbors(c.ID)); err == nil {
 		t.Fatal("cancelled recommend returned no error")
 	}
 }
@@ -261,7 +271,7 @@ func TestRecommendUnsampledMatchesSampled(t *testing.T) {
 	}
 	tr := trace.New(trace.Options{SampleRate: 1})
 	ctx, root := tr.StartRoot(context.Background(), "test")
-	traced, err := e.RecommendContext(ctx, c, nbs)
+	traced, err := recommendCtx(ctx, e, c, nbs)
 	root.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +287,8 @@ func TestRecommendUnsampledMatchesSampled(t *testing.T) {
 }
 
 // TestRecommendBatchMatchesSingles pins the batch contract: every item of
-// a RecommendBatch call is byte-identical to a RecommendContext call for
-// the same carrier — values, explanations, and the full evidence
+// a RecommendBatch call is byte-identical to a Recommend call for the
+// same carrier — values, explanations, and the full evidence
 // diagnostics — with and without geographic scoping.
 func TestRecommendBatchMatchesSingles(t *testing.T) {
 	for _, local := range []bool{false, true} {
@@ -301,7 +311,7 @@ func TestRecommendBatchMatchesSingles(t *testing.T) {
 				t.Fatalf("got %d results for %d items", len(batch), len(items))
 			}
 			for i, it := range items {
-				single, err := e.RecommendContext(context.Background(), it.Carrier, it.Neighbors)
+				single, err := e.Recommend(it.Carrier, it.Neighbors)
 				if err != nil {
 					t.Fatalf("item %d: single-call recommend: %v", i, err)
 				}

@@ -198,9 +198,10 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 	}
 
 	// X2 adjacency is strictly intra-market, so a full deterministic rebuild
-	// changes only the affected markets' neighbor lists; every other
-	// market's shard carries over untouched below.
-	x22 := geo.BuildX2(net2, se.opts.X2)
+	// with the serving graph's own options changes only the affected
+	// markets' neighbor lists; every other market's shard carries over
+	// untouched below.
+	x22 := geo.BuildX2(net2, cur.x2.Options())
 
 	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
 	for _, id := range assigned {
@@ -415,10 +416,11 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 	return assigned, tombs, nil
 }
 
-// marketKeep is the effective training filter of one market's shard over the
-// new inventory: the market partition, minus tombstones, composed with the
-// engine-level vendor and keep options — exactly what a fresh Load over the
-// same state would train on.
+// marketKeep is the effective training filter of one market's shard: the
+// market partition, minus the tombstones dead (nil at Load), composed with
+// the engine-level vendor and keep options. Load and Apply both train
+// through it, so a patched shard keeps exactly the rows a fresh Load over
+// the same state would train on.
 func (se *ShardedEngine) marketKeep(net *lte.Network, dead map[lte.CarrierID]bool, m int) dataset.Filter {
 	base, vendor := se.opts.Keep, se.opts.Vendor
 	return func(id lte.CarrierID) bool {

@@ -86,7 +86,7 @@ func referenceEngine(t *testing.T, se *ShardedEngine, opts Options) *ShardedEngi
 		deadSet[id] = true
 	}
 	ref := NewSharded(se.Schema(), Options{
-		Local: opts.Local, Hops: opts.Hops, Workers: 1,
+		Local: opts.Local, Workers: 1,
 		Keep: func(id lte.CarrierID) bool { return !deadSet[id] },
 	})
 	if _, err := ref.Load(net, x2, cfg); err != nil {
@@ -218,6 +218,61 @@ func TestIngestEquivalence(t *testing.T) {
 		t.Fatal("no model took the in-place patch path")
 	}
 	t.Logf("ingest: %d models patched in place, %d structural refits", totalPatched, totalRefit)
+}
+
+// TestApplyKeepsGraphOptions pins that Apply rebuilds the X2 graph with the
+// options the serving graph was built with: on a world whose graph uses
+// non-default options, the patched engine must serve the same neighbor
+// lists and recommend byte-identically to a fresh load of the post-delta
+// inventory built with those options.
+func TestApplyKeepsGraphOptions(t *testing.T) {
+	gopts := geo.Options{RadiusDeg: 0.04, MaxENodeBNeighbors: 3, MaxCarrierNeighbors: 4}
+	w := netsim.Generate(netsim.Options{Seed: 17, Markets: 2, ENodeBsPerMarket: 8, X2: gopts})
+	se := NewSharded(w.Schema, Options{Local: true, Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		t.Fatal(err)
+	}
+	d := Delta{
+		Upserts:    []Upsert{donorUpsert(w.Schema, w.Net, w.X2, w.Current, 4)},
+		Tombstones: []lte.CarrierID{9},
+	}
+	if _, err := se.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	net, cfg, dead, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, served, _, err := se.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refX2 := geo.BuildX2(net, gopts)
+	for i := range net.Carriers {
+		id := lte.CarrierID(i)
+		if got, want := served.CarrierNeighbors(id), refX2.CarrierNeighbors(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("carrier %d: served X2 neighbors %v, want %v", id, got, want)
+		}
+	}
+	ref := NewSharded(w.Schema, Options{Local: true, Workers: 1,
+		Keep: func(id lte.CarrierID) bool { return id != dead[0] }})
+	if _, err := ref.Load(net, refX2, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range liveCarriers(t, se) {
+		c, nbs := &net.Carriers[id], refX2.CarrierNeighbors(id)
+		got, err := se.Recommend(c, nbs)
+		if err != nil {
+			t.Fatalf("carrier %d: patched: %v", id, err)
+		}
+		want, err := ref.Recommend(c, nbs)
+		if err != nil {
+			t.Fatalf("carrier %d: reference: %v", id, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("carrier %d: patched recommendations differ from a fresh load with the same graph options", id)
+		}
+	}
 }
 
 // TestIngestValidation pins the per-delta error surface: every malformed

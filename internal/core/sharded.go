@@ -133,10 +133,7 @@ func (se *ShardedEngine) Load(net *lte.Network, x2 *geo.Graph, cfg *lte.Config) 
 			continue
 		}
 		opts := se.opts
-		base, market := se.opts.Keep, m
-		opts.Keep = func(id lte.CarrierID) bool {
-			return net.Carriers[id].Market == market && (base == nil || base(id))
-		}
+		opts.Keep = se.marketKeep(net, nil, m)
 		eng := New(se.schema, opts)
 		if err := eng.Train(net, x2, cfg); err != nil {
 			return 0, fmt.Errorf("core: training shard for market %d: %w", m, err)

@@ -7,6 +7,9 @@
 package eval
 
 import (
+	"context"
+	"slices"
+
 	"auric/internal/dataset"
 	"auric/internal/geo"
 	"auric/internal/learn"
@@ -90,17 +93,12 @@ func CrossValidateLocal(t *dataset.Table, l learn.Learner, net *lte.Network, x2 
 	// parameters; compute lazily per test carrier.
 	hoodCache := make(map[lte.CarrierID][]lte.CarrierID)
 	hood := func(c lte.CarrierID) []lte.CarrierID {
-		if h, ok := hoodCache[c]; ok {
-			return h
+		h, ok := hoodCache[c]
+		if !ok {
+			h = slices.DeleteFunc(x2.CarriersNearENodeB(net, net.Carriers[c].ENodeB, hops),
+				func(id lte.CarrierID) bool { return id == c })
+			hoodCache[c] = h
 		}
-		near := x2.CarriersWithinHops(net, c, hops)
-		h := make([]lte.CarrierID, 0, len(near))
-		for _, id := range near {
-			if id != c {
-				h = append(h, id)
-			}
-		}
-		hoodCache[c] = h
 		return h
 	}
 	return crossValidate(t, l, opts, hood, onMismatch)
@@ -198,7 +196,9 @@ func safeFolds(t *dataset.Table, opts CVOptions) ([][]int, bool) {
 // forEachParam runs fn over the given schema parameter indices on a worker
 // pool of the given size and returns the first error.
 func forEachParam(workers int, params []int, fn func(pi int) error) error {
-	return pool.ForEach(workers, params, fn)
+	return pool.ForEachNCtx(context.TODO(), workers, len(params), nil, func(_ context.Context, i int) error {
+		return fn(params[i])
+	})
 }
 
 // allParams lists every schema index of the world.

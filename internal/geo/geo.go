@@ -11,6 +11,7 @@ package geo
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,6 +49,7 @@ func (o Options) withDefaults() Options {
 // BuildX2; a built graph is logically immutable and safe for concurrent use
 // (the neighborhood memo below is internally synchronized).
 type Graph struct {
+	opts    Options
 	enb     [][]lte.ENodeBID
 	carrier [][]lte.CarrierID
 
@@ -70,6 +72,7 @@ type hoodKey struct {
 func BuildX2(n *lte.Network, opts Options) *Graph {
 	opts = opts.withDefaults()
 	g := &Graph{
+		opts:    opts,
 		enb:     make([][]lte.ENodeBID, len(n.ENodeBs)),
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
 	}
@@ -167,6 +170,11 @@ func (g *Graph) buildCarrierAdjacency(n *lte.Network, opts Options) {
 	}
 }
 
+// Options returns the options the graph was built with, defaults filled
+// in; rebuilding over an updated inventory with them keeps the adjacency
+// rules unchanged.
+func (g *Graph) Options() Options { return g.opts }
+
 // ENodeBNeighbors returns the X2-adjacent eNodeBs of id (nearest first).
 // The returned slice must not be modified.
 func (g *Graph) ENodeBNeighbors(id lte.ENodeBID) []lte.ENodeBID { return g.enb[id] }
@@ -181,33 +189,15 @@ func (g *Graph) NumENodeBs() int { return len(g.enb) }
 // NumCarriers reports the number of carriers in the graph.
 func (g *Graph) NumCarriers() int { return len(g.carrier) }
 
-// CarriersWithinHops returns the set of carriers hosted on eNodeBs within
-// the given number of X2 hops of the carrier's own eNodeB (hops >= 0; the
-// carrier's own eNodeB is hop 0). The carrier itself is excluded. This is
-// the candidate scope of the paper's local learner (Sec 4.2 uses hops=1).
-func (g *Graph) CarriersWithinHops(n *lte.Network, id lte.CarrierID, hops int) []lte.CarrierID {
-	return g.carriersNear(n, n.Carriers[id].ENodeB, hops, id)
-}
-
 // CarriersNearENodeB returns the carriers hosted on eNodeBs within the
-// given number of X2 hops of enb. Unlike CarriersWithinHops it needs no
-// carrier in the graph, so it also scopes carriers that are about to be
-// added (the new-carrier launch path).
+// given number of X2 hops of enb (hops >= 0; enb itself is hop 0), in
+// ascending id order. This is the candidate scope of the paper's local
+// learner (Sec 4.2 uses hops=1); callers drop the carrier being scoped.
+// Anchoring on the eNodeB needs no carrier in the graph, so it also scopes
+// carriers that are about to be added (the new-carrier launch path). The
+// caller owns the returned slice.
 func (g *Graph) CarriersNearENodeB(n *lte.Network, enb lte.ENodeBID, hops int) []lte.CarrierID {
-	return g.carriersNear(n, enb, hops, -1)
-}
-
-func (g *Graph) carriersNear(n *lte.Network, start lte.ENodeBID, hops int, exclude lte.CarrierID) []lte.CarrierID {
-	all := g.hood(n, start, hops)
-	// Callers own the returned slice, so the memoized list is copied even
-	// when nothing is excluded.
-	out := make([]lte.CarrierID, 0, len(all))
-	for _, c := range all {
-		if c != exclude {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.Clone(g.hood(n, enb, hops))
 }
 
 // hood returns the memoized sorted carrier list within hops of start,

@@ -26,7 +26,6 @@ package health
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -154,10 +153,6 @@ type baseState struct {
 	x2      *geo.Graph
 	cfg     *lte.Config
 	markets []*marketHealth // by market id; nil for untracked markets
-
-	// mu guards dead, the carriers tombstoned since the Load.
-	mu   sync.Mutex
-	dead map[lte.CarrierID]bool
 }
 
 func (st *baseState) market(m int) *marketHealth {
@@ -165,17 +160,6 @@ func (st *baseState) market(m int) *marketHealth {
 		return nil
 	}
 	return st.markets[m]
-}
-
-// deadSet snapshots the tombstoned-carrier set.
-func (st *baseState) deadSet() map[lte.CarrierID]bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[lte.CarrierID]bool, len(st.dead))
-	for id := range st.dead {
-		out[id] = true
-	}
-	return out
 }
 
 // marketHealth is one market's accumulators.
@@ -245,8 +229,7 @@ func marketLabel(m int) string { return strconv.Itoa(m) }
 // over against the freshly trained generation.
 func (t *Tracker) ObserveLoad(gen int64, net *lte.Network, x2 *geo.Graph, cfg *lte.Config) {
 	st := &baseState{gen: gen, net: net, x2: x2, cfg: cfg,
-		markets: make([]*marketHealth, len(net.Markets)),
-		dead:    make(map[lte.CarrierID]bool)}
+		markets: make([]*marketHealth, len(net.Markets))}
 	counts := make([]int, len(net.Markets))
 	for i := range net.Carriers {
 		if m := net.Carriers[i].Market; m >= 0 && m < len(counts) {
@@ -276,19 +259,13 @@ func (t *Tracker) ObserveLoad(gen int64, net *lte.Network, x2 *geo.Graph, cfg *l
 }
 
 // ObserveApply implements core.Observer: upserted carriers feed the
-// drift tables, tombstones the dead set, and the per-market op counters
-// drive the automatic shadow-refit trigger.
+// drift tables, and the per-market op counters drive the automatic
+// shadow-refit trigger. Tombstones need no bookkeeping here: the shadow
+// check reads them off the inventory of the generation it probes.
 func (t *Tracker) ObserveApply(gen int64, net *lte.Network, upserts, tombstones []lte.CarrierID) {
 	st := t.state.Load()
 	if st == nil {
 		return
-	}
-	if len(tombstones) > 0 {
-		st.mu.Lock()
-		for _, id := range tombstones {
-			st.dead[id] = true
-		}
-		st.mu.Unlock()
 	}
 	for _, id := range upserts {
 		c := &net.Carriers[id]
@@ -475,20 +452,4 @@ func (t *Tracker) fireTransitions(shards []ShardHealth) {
 		t.cfg.OnTransition(Transition{Market: sh.Market, Name: sh.Name,
 			Degraded: now, Reasons: sh.Reasons})
 	}
-}
-
-// Markets lists the tracked market ids in order.
-func (t *Tracker) Markets() []int {
-	st := t.state.Load()
-	if st == nil {
-		return nil
-	}
-	var out []int
-	for _, mh := range st.markets {
-		if mh != nil {
-			out = append(out, mh.id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -235,6 +235,29 @@ func TestShadowRoundTripChurnAgrees(t *testing.T) {
 	}
 }
 
+// TestShadowReadsTombstonesFromProbedGeneration pins that the shadow check
+// takes the dead set from the generation it probes, not from the observer
+// feed: a carrier tombstoned by an Apply the tracker never saw is neither
+// probed nor retrained, and the refit still agrees with serving.
+func TestShadowReadsTombstonesFromProbedGeneration(t *testing.T) {
+	rig := newRig(t, Config{ShadowProbes: 1 << 20})
+	cohort := marketCarriers(rig.w.Net, 0)
+	rig.eng.SetObserver(nil)
+	if _, err := rig.eng.Apply(core.Delta{Tombstones: cohort[:1]}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rig.tr.ShadowCheck(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Probes != len(cohort)-1 {
+		t.Fatalf("probed %d carriers, want the %d survivors of the tombstone", res.Probes, len(cohort)-1)
+	}
+	if res.Compared == 0 || res.Disagreed != 0 {
+		t.Fatalf("refit without the tombstoned carrier disagrees with serving: %+v", res)
+	}
+}
+
 func TestShadowDetectsDivergence(t *testing.T) {
 	rig := newRig(t, Config{MinDriftRows: 1})
 	if _, err := rig.eng.Apply(flippedClones(rig.w, 0, 4)); err != nil {

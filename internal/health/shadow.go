@@ -89,7 +89,16 @@ func (t *Tracker) shadowCheck(st *baseState, mh *marketHealth) (*ShadowResult, e
 	if err != nil {
 		return nil, err
 	}
-	dead := st.deadSet()
+	// A tombstoned carrier keeps its Carriers slot but leaves its eNodeB's
+	// carrier list, so the probed generation's own inventory names the
+	// dead: no separately observed set can disagree with the engine probed.
+	live := make([]bool, len(curNet.Carriers))
+	for i := range curNet.ENodeBs {
+		for _, id := range curNet.ENodeBs[i].Carriers {
+			live[id] = true
+		}
+	}
+	dead := func(id lte.CarrierID) bool { return int(id) >= len(live) || !live[id] }
 
 	// The scratch engine reproduces what Load would train for this market
 	// over the base inventory, minus everything tombstoned since — the
@@ -97,7 +106,7 @@ func (t *Tracker) shadowCheck(st *baseState, mh *marketHealth) (*ShadowResult, e
 	opts := eng.EngineOpts()
 	base, market, bnet := opts.Keep, mh.id, st.net
 	opts.Keep = func(id lte.CarrierID) bool {
-		return bnet.Carriers[id].Market == market && !dead[id] && (base == nil || base(id))
+		return bnet.Carriers[id].Market == market && !dead(id) && (base == nil || base(id))
 	}
 	scratch := core.New(eng.Schema(), opts)
 	if err := scratch.Train(bnet, st.x2, st.cfg); err != nil {
@@ -109,7 +118,7 @@ func (t *Tracker) shadowCheck(st *baseState, mh *marketHealth) (*ShadowResult, e
 	// come from the models — never from the query row itself.
 	probes := make([]lte.CarrierID, 0, len(mh.baseCarriers))
 	for _, id := range mh.baseCarriers {
-		if dead[id] || int(id) >= len(curNet.Carriers) {
+		if dead(id) {
 			continue
 		}
 		if !slices.Equal(bnet.Carriers[id].AttributeVector(), curNet.Carriers[id].AttributeVector()) {

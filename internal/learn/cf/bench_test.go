@@ -153,7 +153,7 @@ func BenchmarkCFPredictScoped(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictScoped(rows[i%len(rows)], scope)
+				m.PredictWeighted(rows[i%len(rows)], scope, nil)
 			}
 		})
 	}
@@ -192,9 +192,15 @@ func BenchmarkPredictScopedPostings(b *testing.B) {
 			for i := range rows {
 				rows[i] = benchRow(pair, i%pair.Len())
 			}
+			// Encode into one reused buffer, as the engine encodes into
+			// its batch arena, so the loop allocates no more than the
+			// vote itself.
+			codes := make([]int32, 0, pair.NumCols())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictScope(rows[i%len(rows)], sc)
+				row := rows[i%len(rows)]
+				codes = m.AppendEncodeRow(codes[:0], row)
+				m.PredictCodes(codes, row, sc)
 			}
 		})
 	}

@@ -483,13 +483,13 @@ func appendCode(b []byte, c int32) []byte {
 }
 
 // Model is a fitted collaborative-filtering model. After Fit returns, a
-// Model is immutable: Predict, PredictCodes, PredictScoped, PredictScope
-// and PredictWeighted only read the fitted state (the training table, the
-// dependency ordering, the match index, the posting lists and the
-// value-share tables) and draw their working storage from a shared
-// sync.Pool, so one Model is safe for concurrent use by any number of
-// goroutines — the engine's recommendation fan-out relies on this. The
-// per-site row lists behind ScopeFrom are built lazily exactly once.
+// Model is immutable: Predict, PredictCodes and PredictWeighted only read
+// the fitted state (the training table, the dependency ordering, the match
+// index, the posting lists and the value-share tables) and draw their
+// working storage from a shared sync.Pool, so one Model is safe for
+// concurrent use by any number of goroutines — the engine's
+// recommendation fan-out relies on this. The per-site row lists behind
+// ScopeFrom are built lazily exactly once.
 //
 // Update never mutates a published Model: it produces a fresh Model
 // sharing unchanged state copy-on-write, so ingest generations coexist
@@ -669,9 +669,6 @@ func (m *Model) EncodesTable(t *dataset.Table) bool { return t != nil && t.Share
 // patching the model through Update; treat it as read-only.
 func (m *Model) Table() *dataset.Table { return m.t }
 
-// Live reports the number of live (non-tombstoned) training rows.
-func (m *Model) Live() int { return m.live }
-
 // EncodeRow implements learn.CodesModel: the full per-column encoding of a
 // query row against the model's base dictionaries (-1 for unseen values).
 // Any model fitted over the same columnar base accepts the result via
@@ -700,7 +697,7 @@ func (m *Model) SharesEncoding(o learn.Model) bool {
 // PredictCodes implements learn.CodesModel. codes must come from EncodeRow
 // of a model sharing this model's encoding; sc may be nil or a Scope from
 // this model's ScopeFrom. Predictions are byte-identical to Predict /
-// PredictScope on the same row.
+// PredictWeighted on the same row with the equivalent site predicate.
 func (m *Model) PredictCodes(codes []int32, row []string, sc learn.Scope) learn.Prediction {
 	rows, scoped := m.scopeRows(sc)
 	ps := predictScratchPool.Get().(*predictScratch)
@@ -734,7 +731,7 @@ func (m *Model) buildSiteRows() {
 
 // ScopeFrom implements learn.SiteScoper: the union of the per-site row
 // lists of ids, sorted ascending and deduplicated — exactly the rows a
-// PredictScoped predicate testing From membership in ids would admit.
+// PredictWeighted predicate testing From membership in ids would admit.
 func (m *Model) ScopeFrom(ids []lte.CarrierID) learn.Scope {
 	m.siteOnce.Do(m.buildSiteRows)
 	total := 0
@@ -759,22 +756,9 @@ func (m *Model) scopeRows(sc learn.Scope) (rows []int32, scoped bool) {
 	}
 	s, ok := sc.(*Scope)
 	if !ok || s.m != m {
-		panic("cf: PredictScope with a scope built by a different model")
+		panic("cf: PredictCodes with a scope built by a different model")
 	}
 	return s.rows, true
-}
-
-// PredictScope is PredictCodes over the row's own encoding: a scoped
-// prediction over a precomputed Scope, byte-identical to PredictScoped with
-// the equivalent predicate but with the neighborhood intersected as a
-// sorted row list. The equivalence tests use it as the string-row
-// reference of the serving path.
-func (m *Model) PredictScope(row []string, sc learn.Scope) learn.Prediction {
-	rows, scoped := m.scopeRows(sc)
-	ps := predictScratchPool.Get().(*predictScratch)
-	defer putPredictScratch(ps)
-	codes := m.encode(ps, row)
-	return m.predict(ps, row, codes, rows, scoped, nil)
 }
 
 // Predict implements learn.Model.
@@ -782,9 +766,13 @@ func (m *Model) Predict(row []string) learn.Prediction {
 	return m.PredictWeighted(row, nil, nil)
 }
 
-// PredictScoped restricts the voting population to training samples whose
-// site is allowed — the paper's local learner uses the 1-hop X2
-// neighborhood (Sec 3.3).
+// PredictWeighted restricts the voting population to training samples
+// whose site is allowed (nil admits every site) — the paper's local
+// learner uses the 1-hop X2 neighborhood (Sec 3.3) — and weights votes by
+// weight(site), the Sec 6 service-performance feedback loop ("provide
+// higher weights to configuration changes that have improved service
+// performance in the past"). Weights <= 0 exclude a site; a nil weight
+// counts every site equally.
 //
 // Local evidence is used only when it is decisive at a relaxation level at
 // least as specific as the one the network-wide vote would settle on:
@@ -793,17 +781,8 @@ func (m *Model) Predict(row []string) learn.Prediction {
 // global evidence.
 //
 // The predicate is evaluated once per training row to materialize the
-// scope; callers that know the allowed From carriers up front should use
-// ScopeFrom + PredictScope, which skips the scan entirely.
-func (m *Model) PredictScoped(row []string, allowed func(dataset.Site) bool) learn.Prediction {
-	return m.PredictWeighted(row, allowed, nil)
-}
-
-// PredictWeighted is PredictScoped with votes weighted by
-// weight(site) — the Sec 6 service-performance feedback loop ("provide
-// higher weights to configuration changes that have improved service
-// performance in the past"). Weights <= 0 exclude a site; a nil weight
-// counts every site equally.
+// scope; callers that know the allowed From carriers up front use
+// ScopeFrom + PredictCodes, which skips the scan entirely.
 func (m *Model) PredictWeighted(row []string, allowed func(dataset.Site) bool, weight func(dataset.Site) float64) learn.Prediction {
 	ps := predictScratchPool.Get().(*predictScratch)
 	defer putPredictScratch(ps)
@@ -966,13 +945,6 @@ func (m *Model) vote(ps *predictScratch, codes []int32, deps []int, full bool, s
 		// Sec 1).
 		(drop == 0 && share == 1)
 	return p, decisive
-}
-
-// Supported reports whether a prediction reached the voting-support
-// threshold on the full dependent set (the strict rule of Sec 3.2).
-func (m *Model) Supported(row []string) (learn.Prediction, bool) {
-	p := m.Predict(row)
-	return p, p.Confidence >= m.opts.Support
 }
 
 // majorityOf tallies match labels into a dense per-code count array and

@@ -90,15 +90,16 @@ func TestSupportThreshold(t *testing.T) {
 		add("y", "k", "5", 10+i)
 	}
 	m, _ := New().Fit(tb)
-	p, supported := m.(*Model).Supported([]string{"x", "k"})
-	if p.Label != "1" || !supported {
+	support := m.(*Model).opts.Support
+	p := m.Predict([]string{"x", "k"})
+	if supported := p.Confidence >= support; p.Label != "1" || !supported {
 		t.Errorf("80%% case: label=%q supported=%v", p.Label, supported)
 	}
 	// Make it 6/4: below threshold, still plurality but unsupported.
 	tb.Labels[6], tb.Labels[7] = "2", "2"
 	m, _ = New().Fit(tb)
-	p, supported = m.(*Model).Supported([]string{"x", "k"})
-	if p.Label != "1" || supported {
+	p = m.Predict([]string{"x", "k"})
+	if supported := p.Confidence >= support; p.Label != "1" || supported {
 		t.Errorf("60%% case: label=%q supported=%v, want plurality without support", p.Label, supported)
 	}
 	if !strings.Contains(p.Explanation, "below the 75% support threshold") {
@@ -145,9 +146,9 @@ func TestPredictScoped(t *testing.T) {
 	if global.Label != "20" {
 		t.Fatalf("global vote = %q, want the 2:1 majority 20", global.Label)
 	}
-	local := m.(*Model).PredictScoped([]string{"x", "k"}, func(s dataset.Site) bool {
+	local := m.(*Model).PredictWeighted([]string{"x", "k"}, func(s dataset.Site) bool {
 		return s.From < 50 // region A only
-	})
+	}, nil)
 	if local.Label != "10" {
 		t.Errorf("scoped vote = %q, want the local value 10", local.Label)
 	}
@@ -159,7 +160,7 @@ func TestPredictScoped(t *testing.T) {
 func TestScopedEmptyFallsBackToGlobal(t *testing.T) {
 	tb := learntest.RuleTable(200, 0, 8)
 	m, _ := New().Fit(tb)
-	p := m.(*Model).PredictScoped(tb.Row(0), func(dataset.Site) bool { return false })
+	p := m.(*Model).PredictWeighted(tb.Row(0), func(dataset.Site) bool { return false }, nil)
 	if p.Label != tb.Labels[0] {
 		t.Errorf("empty scope should fall back to the global vote; got %q want %q",
 			p.Label, tb.Labels[0])
@@ -249,7 +250,7 @@ func TestPredictionDiag(t *testing.T) {
 	}
 
 	// Scoped predictions mark the diag as scoped.
-	scoped := m.(*Model).PredictScoped(tb.Row(0), func(s dataset.Site) bool { return true })
+	scoped := m.(*Model).PredictWeighted(tb.Row(0), func(s dataset.Site) bool { return true }, nil)
 	if !scoped.Diag.Scoped {
 		t.Errorf("scoped prediction diag = %+v, want Scoped", scoped.Diag)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestConcurrentPredict hammers one fitted model from 16 goroutines mixing
-// Predict and PredictScoped. Fitted models are documented read-only; run
+// Predict and scoped PredictWeighted. Fitted models are documented read-only; run
 // under -race this proves the prediction paths (queryDeps, ladder, vote,
 // matches) never write shared state, which the engine's parallel
 // recommendation fan-out depends on.
@@ -37,7 +37,7 @@ func TestConcurrentPredict(t *testing.T) {
 	wantScoped := make([]string, len(rows))
 	for i, row := range rows {
 		wantPlain[i] = m.Predict(row).Explanation
-		wantScoped[i] = m.PredictScoped(row, scope).Explanation
+		wantScoped[i] = m.PredictWeighted(row, scope, nil).Explanation
 	}
 
 	const goroutines = 16
@@ -53,8 +53,8 @@ func TestConcurrentPredict(t *testing.T) {
 					failures <- "Predict diverged under concurrency"
 					return
 				}
-				if got := m.PredictScoped(rows[i], scope).Explanation; got != wantScoped[i] {
-					failures <- "PredictScoped diverged under concurrency"
+				if got := m.PredictWeighted(rows[i], scope, nil).Explanation; got != wantScoped[i] {
+					failures <- "scoped PredictWeighted diverged under concurrency"
 					return
 				}
 			}

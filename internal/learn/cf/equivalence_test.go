@@ -444,7 +444,7 @@ func equalInt32(a, b []int32) bool {
 // TestPredictionsMatchReference drives the fast Model and the original
 // implementation over identical tables and queries and requires
 // byte-identical predictions — label, confidence and explanation — for
-// Predict, PredictScoped and PredictWeighted.
+// Predict and PredictWeighted, scoped with and without weights.
 func TestPredictionsMatchReference(t *testing.T) {
 	check := func(t *testing.T, tb *dataset.Table, queries [][]string) {
 		t.Helper()
@@ -467,8 +467,8 @@ func TestPredictionsMatchReference(t *testing.T) {
 			if got, want := stripDiag(m.Predict(row)), ref.predict(row); got != want {
 				t.Fatalf("Predict(%v)\n got %+v\nwant %+v", row, got, want)
 			}
-			if got, want := stripDiag(m.PredictScoped(row, scope)), ref.predictWeighted(row, scope, nil); got != want {
-				t.Fatalf("PredictScoped(%v)\n got %+v\nwant %+v", row, got, want)
+			if got, want := stripDiag(m.PredictWeighted(row, scope, nil)), ref.predictWeighted(row, scope, nil); got != want {
+				t.Fatalf("scoped PredictWeighted(%v)\n got %+v\nwant %+v", row, got, want)
 			}
 			if got, want := stripDiag(m.PredictWeighted(row, scope, weight)), ref.predictWeighted(row, scope, weight); got != want {
 				t.Fatalf("PredictWeighted(%v)\n got %+v\nwant %+v", row, got, want)
@@ -522,10 +522,16 @@ func gatherIDs(tb *dataset.Table) []lte.CarrierID {
 	return ids
 }
 
+// predictScope is the string-row form of the serving path: PredictCodes
+// over the row's own encoding and a precomputed scope.
+func predictScope(m *Model, row []string, sc learn.Scope) learn.Prediction {
+	return m.PredictCodes(m.EncodeRow(row), row, sc)
+}
+
 // TestScopeEquivalentToCallback pins the neighborhood-posting-list
-// guarantee: PredictScope over a precomputed ScopeFrom row list must be
+// guarantee: PredictCodes over a precomputed ScopeFrom row list must be
 // byte-identical — label, confidence, explanation AND every Diag field —
-// to PredictScoped with the equivalent From-membership predicate, for
+// to PredictWeighted with the equivalent From-membership predicate, for
 // empty, singleton, half, full and duplicate-laden id sets.
 func TestScopeEquivalentToCallback(t *testing.T) {
 	check := func(t *testing.T, tb *dataset.Table, queries [][]string) {
@@ -560,17 +566,17 @@ func TestScopeEquivalentToCallback(t *testing.T) {
 				t.Fatalf("case %d: NumRows %d, want %d", ci, sc.NumRows(), wantRows)
 			}
 			for _, row := range queries {
-				want := m.PredictScoped(row, pred)
-				got := m.PredictScope(row, sc)
+				want := m.PredictWeighted(row, pred, nil)
+				got := predictScope(m, row, sc)
 				if got != want {
-					t.Fatalf("case %d PredictScope(%v)\n got %+v\nwant %+v", ci, row, got, want)
+					t.Fatalf("case %d scoped PredictCodes(%v)\n got %+v\nwant %+v", ci, row, got, want)
 				}
 			}
 		}
 		// A nil scope must behave like Predict.
 		for _, row := range queries {
-			if got, want := m.PredictScope(row, nil), m.Predict(row); got != want {
-				t.Fatalf("PredictScope(%v, nil)\n got %+v\nwant %+v", row, got, want)
+			if got, want := predictScope(m, row, nil), m.Predict(row); got != want {
+				t.Fatalf("PredictCodes(%v, nil scope)\n got %+v\nwant %+v", row, got, want)
 			}
 		}
 	}
@@ -650,7 +656,7 @@ func TestPredictCodesEquivalent(t *testing.T) {
 				t.Fatalf("PredictCodes(%v)\n got %+v\nwant %+v", row, got, want)
 			}
 			sc := m.ScopeFrom(ids[:len(ids)/2])
-			if got, want := m.PredictCodes(codes, row, sc), m.PredictScope(row, sc); got != want {
+			if got, want := m.PredictCodes(codes, row, sc), predictScope(m, row, sc); got != want {
 				t.Fatalf("scoped PredictCodes(%v)\n got %+v\nwant %+v", row, got, want)
 			}
 		}

@@ -57,17 +57,17 @@ func assertPredictionEquivalence(t *testing.T, got, want *Model, queries [][]str
 			t.Fatalf("query %d: Predict\n got %+v\nwant %+v", qi, g, w)
 		}
 		allowed := func(s dataset.Site) bool { return s.From%2 == 0 }
-		if g, w := got.PredictScoped(row, allowed), want.PredictScoped(row, allowed); g != w {
-			t.Fatalf("query %d: PredictScoped\n got %+v\nwant %+v", qi, g, w)
+		if g, w := got.PredictWeighted(row, allowed, nil), want.PredictWeighted(row, allowed, nil); g != w {
+			t.Fatalf("query %d: scoped PredictWeighted\n got %+v\nwant %+v", qi, g, w)
 		}
 		if g, w := got.PredictWeighted(row, allowed, weight), want.PredictWeighted(row, allowed, weight); g != w {
 			t.Fatalf("query %d: PredictWeighted\n got %+v\nwant %+v", qi, g, w)
 		}
 		sub := ids[:len(ids)/2]
-		g := got.PredictScope(row, got.ScopeFrom(sub))
-		w := want.PredictScope(row, want.ScopeFrom(sub))
+		g := predictScope(got, row, got.ScopeFrom(sub))
+		w := predictScope(want, row, want.ScopeFrom(sub))
 		if g != w {
-			t.Fatalf("query %d: PredictScope\n got %+v\nwant %+v", qi, g, w)
+			t.Fatalf("query %d: scoped PredictCodes\n got %+v\nwant %+v", qi, g, w)
 		}
 	}
 }
@@ -146,7 +146,7 @@ func TestUpdateEquivalence(t *testing.T) {
 				for rep := 0; rep < 20; rep++ {
 					for _, q := range queries {
 						prev.Predict(q)
-						prev.PredictScoped(q, func(s dataset.Site) bool { return s.From%3 == 0 })
+						prev.PredictWeighted(q, func(s dataset.Site) bool { return s.From%3 == 0 }, nil)
 					}
 				}
 			}()

@@ -14,6 +14,7 @@
 package forest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -83,7 +84,7 @@ func (l *Learner) Fit(t *dataset.Table) (learn.Model, error) {
 	}
 	f := tree.NewFrame(t)
 	trees := make([]*tree.Tree, opts.Trees)
-	err := pool.ForEachN(opts.Workers, opts.Trees, func(k int) error {
+	err := pool.ForEachNCtx(context.TODO(), opts.Workers, opts.Trees, nil, func(_ context.Context, k int) error {
 		tl := &tree.Learner{Opts: tree.Options{
 			ColsPerSplit:        opts.ColsPerSplit,
 			OneHotFeatureSample: opts.ColsPerSplit <= 0,

@@ -22,89 +22,23 @@ import (
 // observability layer.
 type Observer interface{ Observe(seconds float64) }
 
-// ForEachN runs fn(i) for every i in [0, n) on a pool of the given number
-// of workers and returns the first error observed (by completion order;
-// remaining items still run to completion). workers <= 0 means
-// runtime.NumCPU(); the pool never uses more workers than items.
-func ForEachN(workers, n int, fn func(i int) error) error {
-	return ForEachNTimed(workers, n, nil, fn)
-}
-
-// ForEachNTimed is ForEachN with per-item timing: when per is non-nil,
-// the duration of every fn(i) call is observed on it (concurrently, from
-// the worker goroutines — obs metrics are safe for that). This is how
-// the engine exports per-parameter fan-out timings without the pool
-// itself knowing about metrics.
-func ForEachNTimed(workers, n int, per Observer, fn func(i int) error) error {
-	if per != nil {
-		inner := fn
-		fn = func(i int) error {
-			start := time.Now()
-			err := inner(i)
-			per.Observe(time.Since(start).Seconds())
-			return err
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines, no channel, same semantics.
-		var err error
-		for i := 0; i < n; i++ {
-			if e := fn(i); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
-		work = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if e := fn(i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return err
-}
-
-// ForEach runs fn(item) for every item of items on the pool, with the same
-// worker and error semantics as ForEachN.
-func ForEach(workers int, items []int, fn func(item int) error) error {
-	return ForEachN(workers, len(items), func(i int) error { return fn(items[i]) })
-}
-
-// ForEachNCtx is ForEachNTimed with context cancellation: once ctx is
-// done, no further items are dispatched (items already running finish
-// normally — fn receives ctx and may observe the cancellation itself,
-// e.g. to cut short its own work). When items were skipped and no fn
-// returned an error, ctx.Err() is returned, so callers can distinguish a
-// complete fan-out from an abandoned one and discard partial output.
-// This is the serving path's variant: a disconnected HTTP client cancels
-// the per-parameter recommendation fan-out instead of burning workers on
-// an answer nobody will read.
+// ForEachNCtx runs fn(ctx, i) for every i in [0, n) on a pool of the
+// given number of workers and returns the first error observed (by
+// completion order; remaining items still run to completion). workers <= 0
+// means runtime.NumCPU(); the pool never uses more workers than items.
+// When per is non-nil, the duration of every fn call is observed on it,
+// from the worker goroutines; this is how the engine exports
+// per-parameter fan-out timings without the pool knowing about metrics.
+//
+// Once ctx is done, no further items are dispatched (items already
+// running finish normally; fn receives ctx and may observe the
+// cancellation itself). When items were skipped and no fn returned an
+// error, ctx.Err() is returned, so callers can distinguish a complete
+// fan-out from an abandoned one and discard partial output: a
+// disconnected HTTP client cancels the recommendation fan-out instead of
+// burning workers on an answer nobody will read. Train, forest fitting and
+// evaluation have no request behind them and pass a context that is never
+// cancelled.
 func ForEachNCtx(ctx context.Context, workers, n int, per Observer, fn func(ctx context.Context, i int) error) error {
 	if per != nil {
 		inner := fn

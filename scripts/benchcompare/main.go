@@ -97,9 +97,11 @@ func gateFor(metric string, maxRegress, maxAllocRegress float64) float64 {
 
 // compare writes the per-benchmark report to w and reports whether any
 // gated metric (ns/op vs maxRegress, allocs/op vs maxAllocRegress) trips
-// its regression gate.
+// its regression gate. A benchmark of the old file missing from the new
+// one is listed as not compared; that never fails the gate, because
+// SHORT=1 runs legitimately omit the large-scale benchmarks.
 func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress float64) bool {
-	oldBy, _ := aggregate(oldF)
+	oldBy, oldOrder := aggregate(oldF)
 	newBy, order := aggregate(newF)
 	var failed bool
 	matched := 0
@@ -127,6 +129,11 @@ func compare(w io.Writer, oldF, newF *benchFile, maxRegress, maxAllocRegress flo
 	}
 	if matched == 0 {
 		fmt.Fprintln(w, "  (no benchmarks in common)")
+	}
+	for _, name := range oldOrder {
+		if _, ok := newBy[name]; !ok {
+			fmt.Fprintf(w, "  %-52s not compared: missing from the new file\n", name)
+		}
 	}
 	return failed
 }

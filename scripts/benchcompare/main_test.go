@@ -125,3 +125,22 @@ func TestCompareNoCommonBenchmarks(t *testing.T) {
 		t.Errorf("report = %q, want no-benchmarks notice", out.String())
 	}
 }
+
+// TestCompareReportsDroppedBenchmarks pins that a benchmark of the old file
+// missing from the new one is reported as not compared instead of being
+// skipped silently, and that the omission alone never fails the gate.
+func TestCompareReportsDroppedBenchmarks(t *testing.T) {
+	oldF := bf(run("BenchmarkA-1", 100), run("BenchmarkLarge-1", 100))
+	newF := bf(run("BenchmarkA-1", 100))
+	var out strings.Builder
+	if failed := compare(&out, oldF, newF, 60, 30); failed {
+		t.Fatalf("a dropped benchmark failed the gate:\n%s", out.String())
+	}
+	report := out.String()
+	if !strings.Contains(report, "BenchmarkLarge-1") || !strings.Contains(report, "not compared") {
+		t.Errorf("report does not name the dropped benchmark as not compared:\n%s", report)
+	}
+	if strings.Count(report, "not compared") != 1 {
+		t.Errorf("report marks a compared benchmark as not compared:\n%s", report)
+	}
+}
