@@ -24,6 +24,7 @@ import (
 	"auric"
 	"auric/internal/journal"
 	"auric/internal/lte"
+	"auric/internal/obs"
 	"auric/internal/paramspec"
 	"auric/internal/snapshot"
 )
@@ -313,9 +314,13 @@ func (s *server) applyDelta(wd wireDelta, d auric.Delta) (auric.ApplyResult, err
 		if err != nil {
 			return res, fmt.Errorf("%w: encode: %w", errJournal, err)
 		}
+		start := time.Now()
 		if _, err := s.journal.Append("delta", data); err != nil {
 			log.Printf("auricd: APPLIED DELTA NOT JOURNALED (a restart loses it): %v", err)
 			return res, fmt.Errorf("%w: append: %w", errJournal, err)
+		}
+		if s.journalStage != nil {
+			obs.Since(s.journalStage, start)
 		}
 		s.updateJournalGauges()
 		if s.journalMax > 0 && s.journal.Size() > s.journalMax {

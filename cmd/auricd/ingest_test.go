@@ -411,6 +411,24 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalStageTimed: every journaled delta observes the journal stage
+// of auric_ingest_stage_seconds once, after the engine's own stages.
+func TestJournalStageTimed(t *testing.T) {
+	s := liveServer(t, filepath.Join(t.TempDir(), "deltas.jsonl"))
+	newHandler(s, handlerOptions{registry: obs.New()})
+	net0, _, _, err := s.engine.Inventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustIngest(t, s, donorItem(net0, 0))
+	if rec := deleteCarrier(t, s, id); rec.Code != http.StatusOK {
+		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
+	}
+	if n := s.journalStage.Count(); n != 2 {
+		t.Fatalf("journal stage observed %d times over 2 deltas", n)
+	}
+}
+
 // journalGauges asserts auric_journal_lag_ops and auric_journal_bytes
 // agree with the journal's actual state at a labeled point in time.
 func journalGauges(t *testing.T, s *server, ctx string, wantLag float64) {

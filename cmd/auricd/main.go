@@ -135,6 +135,10 @@ type server struct {
 	// entries and its size in bytes.
 	journalLag   *obs.Gauge
 	journalBytes *obs.Gauge
+	// journalStage times the fsynced journal append of each delta, the
+	// journal stage of auric_ingest_stage_seconds (the engine times the
+	// others).
+	journalStage *obs.Histogram
 	// audit, when non-nil, receives one record per recommendation value
 	// served by POST /v1/recommend.
 	audit *audit.Log
@@ -384,6 +388,9 @@ func newHandler(s *server, opts handlerOptions) http.Handler {
 		"Journal entries not yet folded into the compacted snapshot — the replay a restart would pay.")
 	s.journalBytes = reg.Gauge("auric_journal_bytes",
 		"Current delta journal size in bytes.")
+	s.journalStage = reg.HistogramVec("auric_ingest_stage_seconds",
+		"Seconds per live-ingest stage of one delta: validate, inventory, patch, swap (ShardedEngine.Apply) and journal (the fsynced append).",
+		obs.DefBuckets, "stage").With("journal")
 	s.updateJournalGauges()
 
 	mux := http.NewServeMux()

@@ -192,3 +192,54 @@ func BenchmarkRecommendBatch(b *testing.B) {
 		})
 	}
 }
+
+var (
+	wideBenchOnce  sync.Once
+	wideBenchWorld *netsim.World
+)
+
+// BenchmarkIngestUpsertWide measures live ingest on a 28-market world (the
+// paper's market count, 30 eNodeBs each) with the feed of perfbench's
+// ingest workloads: operations alternate between the upsert of a
+// carrier-only clone of a donor (no configuration values, so its singular
+// parameters start at their minimum; the donor's market rotates) and the
+// tombstone of that clone. One op is one Apply. Against
+// BenchmarkIngestUpsert it shows what the rest of the network costs each
+// delta: the work an Apply does outside the touched market.
+func BenchmarkIngestUpsertWide(b *testing.B) {
+	wideBenchOnce.Do(func() {
+		wideBenchWorld = netsim.Generate(netsim.Options{Seed: 11, Markets: 28, ENodeBsPerMarket: 30})
+	})
+	w := wideBenchWorld
+	se := NewSharded(w.Schema, Options{Workers: 1})
+	if _, err := se.Load(w.Net, w.X2, w.Current); err != nil {
+		b.Fatal(err)
+	}
+	donors := make([][]lte.CarrierID, len(w.Net.Markets))
+	for i := range w.Net.Carriers {
+		m := w.Net.Carriers[i].Market
+		donors[m] = append(donors[m], lte.CarrierID(i))
+	}
+	prev := lte.CarrierID(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var d Delta
+		if prev >= 0 {
+			d.Tombstones = []lte.CarrierID{prev}
+		} else {
+			ids := donors[(i/2)%len(donors)]
+			c := w.Net.Carriers[ids[(i/2)%len(ids)]]
+			c.ID = -1
+			d.Upserts = []Upsert{{Carrier: c}}
+		}
+		res, err := se.Apply(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prev = -1
+		if len(d.Upserts) > 0 {
+			prev = res.Assigned[0]
+		}
+	}
+}

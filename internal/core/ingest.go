@@ -3,16 +3,20 @@ package core
 // Live carrier ingest: ShardedEngine.Apply absorbs upserts and tombstones
 // into a new serving generation without retraining. The delta is validated
 // against the current inventory, the network / configuration / X2 graph are
-// rebuilt copy-on-write, and only the affected markets' parameter models are
-// touched — each one patched in place through cf.Model.Update (or refit for
-// that single parameter when its dependency structure shifts). Untouched
-// markets carry their fitted models into the new generation by reference.
-// The generation swap and drain reuse Load's machinery, so readers of the
-// retiring generation finish undisturbed and Apply is atomic: on any error
-// the serving state is exactly what it was.
+// derived copy-on-write at a cost in proportion to the delta (lte.Config
+// copies only the rows the delta writes, geo.Graph.Rebind recomputes only
+// the neighbor lists around the touched eNodeBs), and only the affected
+// markets' parameter models are touched — each one patched in place
+// through cf.Model.Update (or refit for that single parameter when its
+// dependency structure shifts). Untouched markets carry their fitted models
+// into the new generation by reference. The generation swap and drain
+// reuse Load's machinery, so readers of the retiring generation finish
+// undisturbed and Apply is atomic: on any error the serving state is
+// exactly what it was.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -34,6 +38,16 @@ var (
 		"Parameter models patched in place by live ingest (no refit).")
 	ingestModelsRefit = obs.Default().Counter("auric_ingest_models_refit_total",
 		"Parameter models refit during live ingest because their chi-square dependency structure shifted.")
+	// ingestStages splits one delta's ack into its stages; Apply times
+	// validate, inventory (network, configuration and X2 rebind), patch
+	// and swap, and auricd adds the journal fsync.
+	ingestStages = obs.Default().HistogramVec("auric_ingest_stage_seconds",
+		"Seconds per live-ingest stage of one delta: validate, inventory (network, configuration and X2 rebind), patch, swap, and journal (auricd's fsynced append).",
+		obs.DefBuckets, "stage")
+	stageValidate  = ingestStages.With("validate")
+	stageInventory = ingestStages.With("inventory")
+	stagePatch     = ingestStages.With("patch")
+	stageSwap      = ingestStages.With("swap")
 )
 
 // PairValues carries pair-wise parameter values for one directed relation of
@@ -122,10 +136,12 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 		return ApplyResult{Generation: cur.gen}, nil
 	}
 
+	start := time.Now()
 	assigned, tombs, err := se.validate(cur, d)
 	if err != nil {
 		return ApplyResult{}, err
 	}
+	start = lap(stageValidate, start)
 
 	// Copy-on-write inventory: carriers and eNodeBs are fresh slices, and
 	// only eNodeB carrier lists the delta touches are cloned. Tombstoned
@@ -189,28 +205,16 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 		}
 	}
 
-	dead2 := make(map[lte.CarrierID]bool, len(cur.dead)+len(tombs))
-	for id := range cur.dead {
-		dead2[id] = true
-	}
-	for _, id := range tombs {
-		dead2[id] = true
-	}
+	dead2 := cur.dead.with(tombs)
 
-	// X2 adjacency is strictly intra-market, so a full deterministic rebuild
-	// with the serving graph's own options changes only the affected
-	// markets' neighbor lists; every other market's shard carries over
-	// untouched below.
-	x22 := geo.BuildX2(net2, cur.x2.Options())
+	// X2 adjacency is strictly intra-market and eNodeBs never move, so the
+	// rebind recomputes only the neighbor lists around the eNodeBs the
+	// delta touched (equal to a full BuildX2 with the serving graph's own
+	// options); every other market's shard carries over untouched below.
+	x22, rebound := cur.x2.Rebind(cur.net, net2, slices.Concat(assigned, tombs))
+	start = lap(stageInventory, start)
 
-	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
-	for _, id := range assigned {
-		changed[id] = true
-	}
-	for _, id := range tombs {
-		changed[id] = true
-	}
-	mds := se.marketDeltas(cur, net2, x22, assigned, tombs, changed, dead2, oldLen)
+	mds := se.marketDeltas(cur, net2, x22, assigned, tombs, rebound, oldLen)
 
 	// Patch the affected markets; rebind the rest onto the new inventory
 	// with their fitted models shared by reference.
@@ -239,12 +243,14 @@ func (se *ShardedEngine) Apply(d Delta) (ApplyResult, error) {
 		res.Patched += patched
 		res.Refit += refit
 	}
+	start = lap(stagePatch, start)
 
 	st := &shardState{gen: cur.gen + 1, net: net2, x2: x22, cfg: cfg2, dead: dead2,
 		shards: shards, drained: make(chan struct{})}
 	ingestModelsPatched.Add(uint64(res.Patched))
 	ingestModelsRefit.Add(uint64(res.Refit))
 	se.swap(st, trained)
+	lap(stageSwap, start)
 	if o := se.observer(); o != nil {
 		o.ObserveApply(st.gen, net2, assigned, tombs)
 	}
@@ -262,12 +268,7 @@ func (se *ShardedEngine) SnapshotState() (*lte.Network, *lte.Config, []lte.Carri
 		return nil, nil, nil, 0, err
 	}
 	defer st.release()
-	dead := make([]lte.CarrierID, 0, len(st.dead))
-	for id := range st.dead {
-		dead = append(dead, id)
-	}
-	slices.Sort(dead)
-	return st.net, st.cfg, dead, st.gen, nil
+	return st.net, st.cfg, st.dead.ids(), st.gen, nil
 }
 
 // Tombstoned reports whether a carrier id has been removed from service.
@@ -277,7 +278,71 @@ func (se *ShardedEngine) Tombstoned(id lte.CarrierID) (bool, error) {
 		return false, err
 	}
 	defer st.release()
-	return st.dead[id], nil
+	return st.dead.has(id), nil
+}
+
+// lap observes the time since start on a stage histogram and returns the
+// start of the next stage.
+func lap(h *obs.Histogram, start time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(start).Seconds())
+	return now
+}
+
+// tombSet is the persistent set of tombstoned carriers: a bitset split
+// into pages that serving generations share, so adding ids copies only the
+// pages they land in. The nil set is empty; sets are immutable once built.
+type tombSet struct {
+	pages [][]uint64
+}
+
+const tombPageBits = 4096
+
+func (t *tombSet) has(id lte.CarrierID) bool {
+	if t == nil {
+		return false
+	}
+	p, b := int(id)/tombPageBits, int(id)%tombPageBits
+	return p < len(t.pages) && t.pages[p] != nil && t.pages[p][b/64]&(1<<(b%64)) != 0
+}
+
+// with returns the set plus ids.
+func (t *tombSet) with(ids []lte.CarrierID) *tombSet {
+	out := &tombSet{}
+	if t != nil {
+		out.pages = slices.Clone(t.pages)
+	}
+	copied := make(map[int]bool)
+	for _, id := range ids {
+		p, b := int(id)/tombPageBits, int(id)%tombPageBits
+		for p >= len(out.pages) {
+			out.pages = append(out.pages, nil)
+		}
+		if !copied[p] {
+			page := make([]uint64, tombPageBits/64)
+			copy(page, out.pages[p])
+			out.pages[p] = page
+			copied[p] = true
+		}
+		out.pages[p][b/64] |= 1 << (b % 64)
+	}
+	return out
+}
+
+// ids lists the set in ascending order.
+func (t *tombSet) ids() []lte.CarrierID {
+	out := []lte.CarrierID{}
+	if t == nil {
+		return out
+	}
+	for p, page := range t.pages {
+		for w, word := range page {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, lte.CarrierID(p*tombPageBits+w*64+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return out
 }
 
 // countNew reports how many of the assigned ids are newly created (at or
@@ -304,7 +369,7 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 		if int(id) < 0 || int(id) >= oldLen {
 			return nil, nil, fmt.Errorf("core: tombstone of carrier %d outside the %d known carriers", id, oldLen)
 		}
-		if cur.dead[id] {
+		if cur.dead.has(id) {
 			return nil, nil, fmt.Errorf("core: carrier %d is already tombstoned", id)
 		}
 		if tombSet[id] {
@@ -341,7 +406,7 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 			newMarket[id] = m
 		case int(c.ID) >= 0 && int(c.ID) < oldLen:
 			id = c.ID
-			if cur.dead[id] {
+			if cur.dead.has(id) {
 				return nil, nil, fmt.Errorf("core: carrier %d is tombstoned and cannot be upserted", id)
 			}
 			if tombSet[id] {
@@ -377,7 +442,7 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 			}
 			var toMarket int
 			switch {
-			case int(to) >= 0 && int(to) < oldLen && !cur.dead[to] && !tombSet[to]:
+			case int(to) >= 0 && int(to) < oldLen && !cur.dead.has(to) && !tombSet[to]:
 				toMarket = cur.net.Carriers[to].Market
 			case int(to) >= oldLen && int(to) < int(next):
 				toMarket = newMarket[to]
@@ -391,10 +456,15 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 	}
 
 	// A market must keep at least one live carrier: the patch path cannot
-	// train an emptied market back from nothing.
+	// train an emptied market back from nothing. The live carriers are
+	// exactly those on the market's eNodeB carrier lists (tombstoned ones
+	// have left them), so only tombstones still listed count against it.
 	delta := make(map[int]int)
 	for _, id := range tombs {
-		delta[cur.net.Carriers[id].Market]--
+		c := &cur.net.Carriers[id]
+		if slices.Contains(cur.net.ENodeBs[c.ENodeB].Carriers, id) {
+			delta[c.Market]--
+		}
 	}
 	for _, m := range newMarket {
 		delta[m]++
@@ -404,9 +474,9 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 			continue
 		}
 		live := 0
-		for i := range cur.net.Carriers {
-			if cur.net.Carriers[i].Market == m && !cur.dead[lte.CarrierID(i)] {
-				live++
+		for i := range cur.net.ENodeBs {
+			if e := &cur.net.ENodeBs[i]; e.Market == m {
+				live += len(e.Carriers)
 			}
 		}
 		if live+dn <= 0 {
@@ -421,11 +491,11 @@ func (se *ShardedEngine) validate(cur *shardState, d Delta) (assigned, tombs []l
 // the engine-level vendor and keep options. Load and Apply both train
 // through it, so a patched shard keeps exactly the rows a fresh Load over
 // the same state would train on.
-func (se *ShardedEngine) marketKeep(net *lte.Network, dead map[lte.CarrierID]bool, m int) dataset.Filter {
+func (se *ShardedEngine) marketKeep(net *lte.Network, dead *tombSet, m int) dataset.Filter {
 	base, vendor := se.opts.Keep, se.opts.Vendor
 	return func(id lte.CarrierID) bool {
 		c := &net.Carriers[id]
-		return c.Market == m && !dead[id] &&
+		return c.Market == m && !dead.has(id) &&
 			(vendor == "" || c.Vendor == vendor) &&
 			(base == nil || base(id))
 	}
@@ -435,10 +505,13 @@ func (se *ShardedEngine) marketKeep(net *lte.Network, dead map[lte.CarrierID]boo
 // and new X2 adjacency to find every pair row the change invalidates. A row
 // is re-added (tombstone + append) whenever either endpoint's attributes
 // changed, and added or removed when the adjacency itself changed — which
-// can happen to carriers far from the delta when a new carrier pushes a
-// neighbor past the per-carrier cap.
+// can happen to carriers away from the delta when a new carrier pushes a
+// neighbor past the per-carrier cap. Only the carriers whose lists the
+// rebind recomputed (ascending) can differ: any other carrier keeps its
+// list, and none of its neighbors changed, or its list would have been
+// recomputed.
 func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *geo.Graph,
-	assigned, tombs []lte.CarrierID, changed, dead2 map[lte.CarrierID]bool, oldLen int) map[int]*marketDelta {
+	assigned, tombs, rebound []lte.CarrierID, oldLen int) map[int]*marketDelta {
 	mds := make(map[int]*marketDelta)
 	md := func(m int) *marketDelta {
 		if mds[m] == nil {
@@ -462,21 +535,22 @@ func (se *ShardedEngine) marketDeltas(cur *shardState, net2 *lte.Network, x22 *g
 		slices.Sort(m.addIDs)
 	}
 
-	// Pair-row diff over every carrier of the affected markets.
-	for i := range net2.Carriers {
-		id := lte.CarrierID(i)
-		m, ok := mds[net2.Carriers[i].Market]
+	// Pair-row diff over the rebound carriers. Tombstoned carriers have
+	// empty neighbor lists, so their rows only ever leave.
+	changed := make(map[lte.CarrierID]bool, len(assigned)+len(tombs))
+	for _, id := range slices.Concat(assigned, tombs) {
+		changed[id] = true
+	}
+	for _, id := range rebound {
+		m, ok := mds[net2.Carriers[id].Market]
 		if !ok {
 			continue
 		}
 		var oldList []lte.CarrierID
-		if i < oldLen && !cur.dead[id] {
+		if int(id) < oldLen {
 			oldList = cur.x2.CarrierNeighbors(id)
 		}
-		var newList []lte.CarrierID
-		if !dead2[id] {
-			newList = x22.CarrierNeighbors(id)
-		}
+		newList := x22.CarrierNeighbors(id)
 		// A relation is re-added when either endpoint changed, and added
 		// or removed when the adjacency itself changed. Neighbor lists are
 		// capped short, so the membership scans stay cheap.

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 	"auric/internal/geo"
 	"auric/internal/lte"
 	"auric/internal/netsim"
+	"auric/internal/obs"
 	"auric/internal/paramspec"
 	"auric/internal/rng"
 )
@@ -508,5 +510,103 @@ func TestIngestHotApply(t *testing.T) {
 	}
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d of %d requests failed during live ingest, want 0", n, requests.Load())
+	}
+}
+
+// TestRestoreKeepsNearlyEmptyMarket replays the tombstones of a compacted
+// state onto a fresh Load, as an auricd restart does. Its tombstoned
+// carriers have already left their eNodeB lists, so the live count must not
+// subtract them a second time: a market down to one carrier and its X2
+// neighbors restores, and tombstoning those last carriers is still
+// refused.
+func TestRestoreKeepsNearlyEmptyMarket(t *testing.T) {
+	w, se := shardedWorld(t, 2)
+	m := w.Net.Carriers[0].Market
+	kept := append([]lte.CarrierID{0}, w.X2.CarrierNeighbors(0)...)
+	var tombs []lte.CarrierID
+	for i := range w.Net.Carriers {
+		if id := lte.CarrierID(i); w.Net.Carriers[i].Market == m && !slices.Contains(kept, id) {
+			tombs = append(tombs, id)
+		}
+	}
+	if len(tombs) <= len(kept) {
+		t.Fatalf("market %d keeps %d carriers and loses only %d; the double count would go unseen", m, len(kept), len(tombs))
+	}
+	if _, err := se.Apply(Delta{Tombstones: tombs}); err != nil {
+		t.Fatal(err)
+	}
+	net, cfg, dead, _, err := se.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := NewSharded(w.Schema, se.EngineOpts())
+	if _, err := re.Load(net, geo.BuildX2(net, geo.Options{}), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Apply(Delta{Tombstones: dead}); err != nil {
+		t.Fatalf("restoring %d tombstones: %v", len(dead), err)
+	}
+	if _, err := re.Apply(Delta{Tombstones: kept}); err == nil ||
+		!strings.Contains(err.Error(), "no live carriers") {
+		t.Errorf("tombstoning the last live carriers: err = %v", err)
+	}
+}
+
+// TestTombSetIsPersistent checks the tombstone set shared between serving
+// generations: adding ids leaves the old set as it was, lists come out
+// ascending, and pages the new ids miss stay shared.
+func TestTombSetIsPersistent(t *testing.T) {
+	var empty *tombSet
+	a := empty.with([]lte.CarrierID{70000, 5, 4100})
+	b := a.with([]lte.CarrierID{9000, 6})
+	for _, c := range []struct {
+		set  *tombSet
+		want []lte.CarrierID
+	}{
+		{empty, []lte.CarrierID{}},
+		{a, []lte.CarrierID{5, 4100, 70000}},
+		{b, []lte.CarrierID{5, 6, 4100, 9000, 70000}},
+	} {
+		if got := c.set.ids(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ids = %v, want %v", got, c.want)
+		}
+		for _, id := range []lte.CarrierID{0, 5, 6, 4100, 9000, 70000, 1 << 20} {
+			if got, want := c.set.has(id), slices.Contains(c.want, id); got != want {
+				t.Errorf("set %v: has(%d) = %v", c.want, id, got)
+			}
+		}
+	}
+	if &a.pages[70000/tombPageBits][0] != &b.pages[70000/tombPageBits][0] {
+		t.Error("a page no new id landed in was copied")
+	}
+}
+
+// TestApplyObservesEveryStage: an applied delta observes each engine stage
+// of auric_ingest_stage_seconds once; a rejected one gets no further than
+// validate and observes none.
+func TestApplyObservesEveryStage(t *testing.T) {
+	w, se := shardedWorld(t, 2)
+	stages := []*obs.Histogram{stageValidate, stageInventory, stagePatch, stageSwap}
+	counts := func() []uint64 {
+		var out []uint64
+		for _, h := range stages {
+			out = append(out, h.Count())
+		}
+		return out
+	}
+	before := counts()
+	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{-1}}); err == nil {
+		t.Fatal("tombstone of carrier -1 accepted")
+	}
+	if got := counts(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected delta moved stage counts %v -> %v", before, got)
+	}
+	if _, err := se.Apply(Delta{Tombstones: []lte.CarrierID{lte.CarrierID(len(w.Net.Carriers) - 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range counts() {
+		if n != before[i]+1 {
+			t.Errorf("stage %d observed %d times, want %d", i, n, before[i]+1)
+		}
 	}
 }

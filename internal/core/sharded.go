@@ -73,8 +73,8 @@ type shardState struct {
 	cfg *lte.Config
 	// dead marks carriers tombstoned by live ingest (Apply); they keep
 	// their Carriers slot but serve no evidence and reject further
-	// upserts. nil for generations installed by Load.
-	dead   map[lte.CarrierID]bool
+	// upserts. nil (empty) for generations installed by Load.
+	dead   *tombSet
 	shards []*Engine // indexed by market id; nil for carrier-less markets
 	// refs counts the installed reference (1) plus every in-flight
 	// request; when it reaches zero after retirement the generation is

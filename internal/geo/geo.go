@@ -46,19 +46,32 @@ func (o Options) withDefaults() Options {
 }
 
 // Graph is an X2 neighbor-relation graph over a network. Build one with
-// BuildX2; a built graph is logically immutable and safe for concurrent use
-// (the neighborhood memo below is internally synchronized).
+// BuildX2, or derive one for an updated inventory with Rebind; a graph is
+// logically immutable and safe for concurrent use (the neighborhood memos
+// below are internally synchronized).
 type Graph struct {
-	opts    Options
+	opts Options
+	// enb and rev are the eNodeB adjacency and its reverse (the eNodeBs
+	// listing each one as an X2 neighbor). They depend only on eNodeB
+	// positions and markets, which live ingest never changes, so every
+	// graph rebound from this one shares them.
 	enb     [][]lte.ENodeBID
+	rev     [][]lte.ENodeBID
 	carrier [][]lte.CarrierID
 
-	// hoods memoizes the sorted carrier list per (eNodeB, hops) BFS — the
-	// hot query of the local learner, issued once per (carrier, parameter)
-	// by serving and evaluation. The list depends only on the start eNodeB
-	// and radius, so per-carrier exclusion filters a cached copy.
-	hoodMu sync.RWMutex
-	hoods  map[hoodKey][]lte.CarrierID
+	// hoods memoizes, per market, the sorted carrier list per (eNodeB,
+	// hops) BFS — the hot query of the local learner, issued once per
+	// (carrier, parameter) by serving and evaluation. The list depends only
+	// on the start eNodeB and radius, so per-carrier exclusion filters a
+	// cached copy. X2 never crosses markets, so a rebind keeps the memo of
+	// every market it does not touch.
+	hoods []*hoodMemo
+}
+
+// hoodMemo is one market's neighborhood memo.
+type hoodMemo struct {
+	mu sync.RWMutex
+	m  map[hoodKey][]lte.CarrierID
 }
 
 type hoodKey struct {
@@ -74,11 +87,69 @@ func BuildX2(n *lte.Network, opts Options) *Graph {
 	g := &Graph{
 		opts:    opts,
 		enb:     make([][]lte.ENodeBID, len(n.ENodeBs)),
+		rev:     make([][]lte.ENodeBID, len(n.ENodeBs)),
 		carrier: make([][]lte.CarrierID, len(n.Carriers)),
+		hoods:   make([]*hoodMemo, len(n.Markets)),
+	}
+	for m := range g.hoods {
+		g.hoods[m] = new(hoodMemo)
 	}
 	g.buildENodeBAdjacency(n, opts)
-	g.buildCarrierAdjacency(n, opts)
+	for i, nbs := range g.enb {
+		for _, nb := range nbs {
+			g.rev[nb] = append(g.rev[nb], lte.ENodeBID(i))
+		}
+	}
+	for i := range n.Carriers {
+		g.carrier[i] = g.neighbors(n, lte.CarrierID(i))
+	}
 	return g
+}
+
+// Rebind returns the graph of n, an update of old (the inventory g was
+// built or rebound over) that keeps every eNodeB with its position and
+// market and changes only the records and eNodeB memberships of the
+// changed carriers — added, replaced, moved or tombstoned by live ingest.
+// It equals BuildX2 of n with g's options at a cost in proportion to the
+// change: the eNodeB adjacency is shared with g; carrier neighbor lists are
+// recomputed only on the eNodeBs the changed carriers left or joined and on
+// the eNodeBs that list one of those as an X2 neighbor; and the
+// neighborhood memos of markets holding no such eNodeB carry over. It also
+// returns the carriers whose lists it recomputed, ascending; every other
+// carrier of n keeps its list from g.
+func (g *Graph) Rebind(old, n *lte.Network, changed []lte.CarrierID) (*Graph, []lte.CarrierID) {
+	g2 := &Graph{
+		opts:    g.opts,
+		enb:     g.enb,
+		rev:     g.rev,
+		carrier: make([][]lte.CarrierID, len(n.Carriers)),
+		hoods:   slices.Clone(g.hoods),
+	}
+	copy(g2.carrier, g.carrier)
+	redo := make(map[lte.ENodeBID]bool)
+	touch := func(e lte.ENodeBID) {
+		redo[e] = true
+		for _, f := range g.rev[e] {
+			redo[f] = true
+		}
+		g2.hoods[n.ENodeBs[e].Market] = new(hoodMemo)
+	}
+	ids := slices.Clone(changed)
+	for _, id := range changed {
+		if int(id) < len(old.Carriers) {
+			touch(old.Carriers[id].ENodeB)
+		}
+		touch(n.Carriers[id].ENodeB)
+	}
+	for e := range redo {
+		ids = append(ids, n.ENodeBs[e].Carriers...)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, id := range ids {
+		g2.carrier[id] = g2.neighbors(n, id)
+	}
+	return g2, ids
 }
 
 // buildENodeBAdjacency bins eNodeBs into a uniform grid with cells of the
@@ -139,41 +210,39 @@ func (g *Graph) buildENodeBAdjacency(n *lte.Network, opts Options) {
 	}
 }
 
-func (g *Graph) buildCarrierAdjacency(n *lte.Network, opts Options) {
-	for i := range n.Carriers {
-		c := &n.Carriers[i]
-		var out []lte.CarrierID
-		// Inter-frequency co-sited carriers on the same eNodeB.
-		for _, other := range n.ENodeBs[c.ENodeB].Carriers {
-			if other == c.ID {
-				continue
-			}
-			if n.Carriers[other].FrequencyMHz != c.FrequencyMHz {
+// neighbors computes the neighbor list of carrier id: the other-frequency
+// carriers co-sited on its eNodeB, then the same-frequency carriers of its
+// X2-adjacent eNodeBs, capped. A carrier on no eNodeB list (tombstoned by
+// live ingest) has none.
+func (g *Graph) neighbors(n *lte.Network, id lte.CarrierID) []lte.CarrierID {
+	c := &n.Carriers[id]
+	site := n.ENodeBs[c.ENodeB].Carriers
+	if !slices.Contains(site, id) {
+		return nil
+	}
+	var out []lte.CarrierID
+	// Inter-frequency co-sited carriers on the same eNodeB.
+	for _, other := range site {
+		if other != id && n.Carriers[other].FrequencyMHz != c.FrequencyMHz {
+			out = append(out, other)
+		}
+	}
+	// Intra-frequency carriers on X2-adjacent eNodeBs.
+	for _, enb := range g.enb[c.ENodeB] {
+		for _, other := range n.ENodeBs[enb].Carriers {
+			if n.Carriers[other].FrequencyMHz == c.FrequencyMHz {
 				out = append(out, other)
 			}
 		}
-		// Intra-frequency carriers on X2-adjacent eNodeBs.
-		for _, enb := range g.enb[c.ENodeB] {
-			for _, other := range n.ENodeBs[enb].Carriers {
-				if n.Carriers[other].FrequencyMHz == c.FrequencyMHz {
-					out = append(out, other)
-				}
-			}
-			if len(out) >= opts.MaxCarrierNeighbors*2 {
-				break
-			}
+		if len(out) >= g.opts.MaxCarrierNeighbors*2 {
+			break
 		}
-		if len(out) > opts.MaxCarrierNeighbors {
-			out = out[:opts.MaxCarrierNeighbors]
-		}
-		g.carrier[i] = out
 	}
+	if len(out) > g.opts.MaxCarrierNeighbors {
+		out = out[:g.opts.MaxCarrierNeighbors]
+	}
+	return out
 }
-
-// Options returns the options the graph was built with, defaults filled
-// in; rebuilding over an updated inventory with them keeps the adjacency
-// rules unchanged.
-func (g *Graph) Options() Options { return g.opts }
 
 // ENodeBNeighbors returns the X2-adjacent eNodeBs of id (nearest first).
 // The returned slice must not be modified.
@@ -206,9 +275,10 @@ func (g *Graph) CarriersNearENodeB(n *lte.Network, enb lte.ENodeBID, hops int) [
 // wins harmlessly.
 func (g *Graph) hood(n *lte.Network, start lte.ENodeBID, hops int) []lte.CarrierID {
 	k := hoodKey{start, hops}
-	g.hoodMu.RLock()
-	h, ok := g.hoods[k]
-	g.hoodMu.RUnlock()
+	memo := g.hoods[n.ENodeBs[start].Market]
+	memo.mu.RLock()
+	h, ok := memo.m[k]
+	memo.mu.RUnlock()
 	if ok {
 		return h
 	}
@@ -231,11 +301,11 @@ func (g *Graph) hood(n *lte.Network, start lte.ENodeBID, hops int) []lte.Carrier
 		out = append(out, n.ENodeBs[e].Carriers...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	g.hoodMu.Lock()
-	if g.hoods == nil {
-		g.hoods = make(map[hoodKey][]lte.CarrierID, 64)
+	memo.mu.Lock()
+	if memo.m == nil {
+		memo.m = make(map[hoodKey][]lte.CarrierID, 64)
 	}
-	g.hoods[k] = out
-	g.hoodMu.Unlock()
+	memo.m[k] = out
+	memo.mu.Unlock()
 	return out
 }

@@ -2,6 +2,7 @@ package lte
 
 import (
 	"fmt"
+	"slices"
 
 	"auric/internal/paramspec"
 )
@@ -14,6 +15,13 @@ type EdgeKey struct {
 // Config holds a full configuration snapshot for a network: one value per
 // (carrier, singular parameter) and one per (carrier, neighbor, pair-wise
 // parameter). Values are always on the parameter's grid.
+//
+// A Config is copy-on-write at carrier granularity: each carrier's values
+// (its singular row and the pair rows of its outgoing relations) live in
+// one row, Clone copies only the row headers, and the first write to a row
+// after a Clone copies that row alone. Clone hands both the clone and the
+// original a fresh owner, so writes on either side stay invisible to the
+// other.
 type Config struct {
 	schema *paramspec.Schema
 	// kindPos maps schema parameter index -> position within its kind's
@@ -21,8 +29,25 @@ type Config struct {
 	kindPos     []int
 	numSingular int
 	numPairWise int
-	singular    [][]float64           // [carrier][singular pos]
-	pair        map[EdgeKey][]float64 // [edge][pairwise pos]
+	rows        []configRow // [carrier]
+	edges       int         // configured directed relations
+	// owner marks the rows this Config may write in place; a row whose
+	// owner differs is shared with a clone and is copied before a write.
+	owner *rowOwner
+}
+
+// rowOwner is the identity of the Config a row was last copied for. It has
+// a field so that distinct owners never share an address.
+type rowOwner struct{ _ byte }
+
+// configRow is one carrier's values: the singular values in schema order,
+// and the pair rows of its configured outgoing relations, ascending by
+// neighbor (pair holds numPairWise values per entry of to).
+type configRow struct {
+	owner    *rowOwner
+	singular []float64
+	to       []CarrierID
+	pair     []float64
 }
 
 // NewConfig allocates a configuration snapshot for numCarriers carriers
@@ -31,7 +56,7 @@ func NewConfig(schema *paramspec.Schema, numCarriers int) *Config {
 	c := &Config{
 		schema:  schema,
 		kindPos: make([]int, schema.Len()),
-		pair:    make(map[EdgeKey][]float64),
+		owner:   new(rowOwner),
 	}
 	for i := 0; i < schema.Len(); i++ {
 		if schema.At(i).Kind == paramspec.Singular {
@@ -42,22 +67,8 @@ func NewConfig(schema *paramspec.Schema, numCarriers int) *Config {
 			c.numPairWise++
 		}
 	}
-	c.singular = make([][]float64, numCarriers)
-	backing := make([]float64, numCarriers*c.numSingular)
-	for i := range c.singular {
-		c.singular[i] = backing[i*c.numSingular : (i+1)*c.numSingular]
-	}
-	// Initialize to each parameter's minimum so every stored value is valid.
-	for i := 0; i < schema.Len(); i++ {
-		p := schema.At(i)
-		if p.Kind != paramspec.Singular {
-			continue
-		}
-		pos := c.kindPos[i]
-		for j := range c.singular {
-			c.singular[j][pos] = p.Min
-		}
-	}
+	c.rows = make([]configRow, 0, numCarriers)
+	c.Grow(numCarriers)
 	return c
 }
 
@@ -68,43 +79,57 @@ func (c *Config) Schema() *paramspec.Schema { return c.schema }
 // singular values start at each parameter's Min. It is used when new
 // carriers are integrated into a live network (the launch workflow).
 func (c *Config) Grow(n int) {
+	backing := make([]float64, n*c.numSingular)
+	c.fillMin(backing, paramspec.Singular)
 	for i := 0; i < n; i++ {
-		row := make([]float64, c.numSingular)
-		for j := 0; j < c.schema.Len(); j++ {
-			if p := c.schema.At(j); p.Kind == paramspec.Singular {
-				row[c.kindPos[j]] = p.Min
+		lo, hi := i*c.numSingular, (i+1)*c.numSingular
+		c.rows = append(c.rows, configRow{owner: c.owner, singular: backing[lo:hi:hi]})
+	}
+}
+
+// fillMin sets every value of vals, a run of kind rows, to its parameter's
+// Min.
+func (c *Config) fillMin(vals []float64, k paramspec.Kind) {
+	width := c.numSingular
+	if k == paramspec.PairWise {
+		width = c.numPairWise
+	}
+	for i := 0; i < c.schema.Len(); i++ {
+		if p := c.schema.At(i); p.Kind == k {
+			for j := c.kindPos[i]; j < len(vals); j += width {
+				vals[j] = p.Min
 			}
 		}
-		c.singular = append(c.singular, row)
 	}
 }
 
 // NumCarriers reports the number of carriers the config covers.
-func (c *Config) NumCarriers() int { return len(c.singular) }
+func (c *Config) NumCarriers() int { return len(c.rows) }
 
 // Get returns the value of singular parameter param (schema index) on the
 // carrier.
 func (c *Config) Get(id CarrierID, param int) float64 {
 	c.mustKind(param, paramspec.Singular)
-	return c.singular[id][c.kindPos[param]]
+	return c.rows[id].singular[c.kindPos[param]]
 }
 
 // Set stores the value of singular parameter param on the carrier,
 // quantizing it to the parameter grid.
 func (c *Config) Set(id CarrierID, param int, v float64) {
 	c.mustKind(param, paramspec.Singular)
-	c.singular[id][c.kindPos[param]] = c.schema.At(param).Quantize(v)
+	c.own(id).singular[c.kindPos[param]] = c.schema.At(param).Quantize(v)
 }
 
 // GetPair returns the value of pair-wise parameter param on the directed
 // carrier→neighbor relation, and whether the relation has been configured.
 func (c *Config) GetPair(from, to CarrierID, param int) (float64, bool) {
 	c.mustKind(param, paramspec.PairWise)
-	row, ok := c.pair[EdgeKey{from, to}]
+	r := &c.rows[from]
+	k, ok := slices.BinarySearch(r.to, to)
 	if !ok {
 		return 0, false
 	}
-	return row[c.kindPos[param]], true
+	return r.pair[k*c.numPairWise+c.kindPos[param]], true
 }
 
 // SetPair stores the value of pair-wise parameter param on the directed
@@ -112,45 +137,57 @@ func (c *Config) GetPair(from, to CarrierID, param int) (float64, bool) {
 // rows start with every pair-wise parameter at its Min.
 func (c *Config) SetPair(from, to CarrierID, param int, v float64) {
 	c.mustKind(param, paramspec.PairWise)
-	key := EdgeKey{from, to}
-	row, ok := c.pair[key]
+	r := c.own(from)
+	k, ok := slices.BinarySearch(r.to, to)
 	if !ok {
-		row = make([]float64, c.numPairWise)
-		for i := 0; i < c.schema.Len(); i++ {
-			p := c.schema.At(i)
-			if p.Kind == paramspec.PairWise {
-				row[c.kindPos[i]] = p.Min
-			}
-		}
-		c.pair[key] = row
+		r.to = slices.Insert(r.to, k, to)
+		fresh := make([]float64, c.numPairWise)
+		c.fillMin(fresh, paramspec.PairWise)
+		r.pair = slices.Insert(r.pair, k*c.numPairWise, fresh...)
+		c.edges++
 	}
-	row[c.kindPos[param]] = c.schema.At(param).Quantize(v)
+	r.pair[k*c.numPairWise+c.kindPos[param]] = c.schema.At(param).Quantize(v)
 }
 
-// Edges returns all configured directed relations in unspecified order.
+// own returns the carrier's row ready for an in-place write, copying it
+// first when it is shared with a clone.
+func (c *Config) own(id CarrierID) *configRow {
+	r := &c.rows[id]
+	if r.owner != c.owner {
+		*r = configRow{
+			owner:    c.owner,
+			singular: slices.Clone(r.singular),
+			to:       slices.Clone(r.to),
+			pair:     slices.Clone(r.pair),
+		}
+	}
+	return r
+}
+
+// Edges returns all configured directed relations, ordered by (From, To).
 func (c *Config) Edges() []EdgeKey {
-	out := make([]EdgeKey, 0, len(c.pair))
-	for k := range c.pair {
-		out = append(out, k)
+	out := make([]EdgeKey, 0, c.edges)
+	for i := range c.rows {
+		for _, to := range c.rows[i].to {
+			out = append(out, EdgeKey{From: CarrierID(i), To: to})
+		}
 	}
 	return out
 }
 
 // NumEdges reports the number of configured directed relations.
-func (c *Config) NumEdges() int { return len(c.pair) }
+func (c *Config) NumEdges() int { return c.edges }
 
-// Clone returns a deep copy of the configuration.
+// Clone returns a copy of the configuration that shares every row with c
+// until one side writes it. It copies only the row headers. Clone gives c
+// a new owner too, so it counts as a write on c: it must not run
+// concurrently with other writes or clones of c, while reads of c may.
 func (c *Config) Clone() *Config {
-	out := NewConfig(c.schema, len(c.singular))
-	for i := range c.singular {
-		copy(out.singular[i], c.singular[i])
-	}
-	for k, row := range c.pair {
-		r := make([]float64, len(row))
-		copy(r, row)
-		out.pair[k] = r
-	}
-	return out
+	out := *c
+	out.rows = slices.Clone(c.rows)
+	out.owner = new(rowOwner)
+	c.owner = new(rowOwner)
+	return &out
 }
 
 // CarrierValues returns the singular parameter values of one carrier as a
@@ -159,7 +196,7 @@ func (c *Config) CarrierValues(id CarrierID) map[string]float64 {
 	out := make(map[string]float64, c.numSingular)
 	for i := 0; i < c.schema.Len(); i++ {
 		if c.schema.At(i).Kind == paramspec.Singular {
-			out[c.schema.At(i).Name] = c.singular[id][c.kindPos[i]]
+			out[c.schema.At(i).Name] = c.rows[id].singular[c.kindPos[i]]
 		}
 	}
 	return out
